@@ -396,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility and recorded in the sidecar; runs are "
+                        "single-threaded")
     p.add_argument("--threshold", type=float, default=1e-3)
     p.add_argument("--out", default="out")
     p.add_argument("--quiet", action="store_true")

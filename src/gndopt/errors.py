@@ -16,13 +16,19 @@ class ConstraintNotCheckableError(ParameterError):
 class DivergedError(RuntimeError):
     """A trajectory produced a non-finite or absurdly large value or gradient.
 
-    Carries the offending iteration index and, for ensemble runs, the trial index.
+    Carries the offending iteration index, for ensemble runs the trial index,
+    and the quantity that failed the guard: ``"value"`` (f(x_t) at the
+    reported iteration t), ``"half-step value"`` (f(x_{t+1/2}) of iteration
+    t) or ``"gradient"`` (grad f(x_t)).
     """
 
-    def __init__(self, iteration, trial=None):
+    def __init__(self, iteration, trial=None, quantity=None):
         self.iteration = int(iteration)
         self.trial = None if trial is None else int(trial)
+        self.quantity = quantity
         where = f"iteration {self.iteration}"
         if self.trial is not None:
             where = f"trial {self.trial}, " + where
+        if quantity is not None:
+            where += f" ({quantity})"
         super().__init__(f"trajectory diverged at {where}")

@@ -1,17 +1,17 @@
 """Monte-Carlo ensemble runner, verification experiments, and CSV/SVG output.
 
 Determinism contract: trial i draws from stream ``(seed, i)``, consuming its d
-initial-point uniforms before any solver draws.  Trials are processed in
-fixed-size chunks whose results land in preallocated rows; the final
-aggregation is a deterministic fold over the full matrix, so output is
-bit-identical for any worker count.  Diverged trajectories abort the whole
-experiment (silently dropping them would bias the error statistics).
+initial-point uniforms before any solver draws.  Trials run sequentially in
+row blocks of a fixed size whose results land in preallocated rows; each
+trial depends only on its own stream, and the final aggregation is a
+deterministic fold over the full matrix, so output is bit-identical for any
+row-block size.  Diverged trajectories abort the whole experiment (silently
+dropping them would bias the error statistics).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +25,7 @@ from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
 
 Array = np.ndarray
 
-_CHUNK = 256  # trials per task; fixed so partitioning never depends on the worker count
+_CHUNK = 256  # trials per kernel call; bounds the noise block at _CHUNK x _RNG_BLOCK x cols
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class ExperimentConfig:
     init_high: float | Array
     seed: int
     threshold: float = 1e-3
-    workers: int = 1
+    workers: int = 1  # accepted for config compatibility; runs are single-threaded
 
     def __post_init__(self):
         if self.trials < 1:
@@ -70,7 +70,6 @@ class StatsSeries:
     mse: Array
     ncp: Array
     trials: int
-    diverged: int = 0
 
     def __post_init__(self):
         self.mse.setflags(write=False)
@@ -124,32 +123,24 @@ def run_monte_carlo(cfg: ExperimentConfig, keep_distances: bool = False):
     total = cfg.total_iterations
     dist2 = np.empty((cfg.trials, total + 1))
 
-    def run_chunk(bounds):
-        i0, i1 = bounds
+    for i0 in range(0, cfg.trials, _CHUNK):
+        i1 = min(i0 + _CHUNK, cfg.trials)
         rngs = [RngStream(cfg.seed, i) for i in range(i0, i1)]
         x0 = np.empty((i1 - i0, obj.dim))
         for row, rng in enumerate(rngs):
             x0[row] = low + span * rng.uniforms(obj.dim)
         if isinstance(cfg.algorithm, GndConfig):
-            res = _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs,
-                                 x_star=x_star, trial_base=i0)
+            res = _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, x_star=x_star,
+                                 record_values=False, trial_base=i0)
             dist2[i0:i1] = res.dist2
         else:
             dist2[i0:i1] = _run_dlgnd_batch(obj, oracle, x0, cfg.algorithm, rngs,
                                             x_star, trial_base=i0)
 
-    chunks = [(i, min(i + _CHUNK, cfg.trials)) for i in range(0, cfg.trials, _CHUNK)]
-    if cfg.workers == 1 or len(chunks) == 1:
-        for chunk in chunks:
-            run_chunk(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(run_chunk, chunks))
-
     mse = dist2.mean(axis=0)
     thr2 = cfg.threshold * cfg.threshold
     ncp = np.count_nonzero(dist2 > thr2, axis=0) / cfg.trials
-    stats = StatsSeries(mse=mse, ncp=ncp, trials=cfg.trials, diverged=0)
+    stats = StatsSeries(mse=mse, ncp=ncp, trials=cfg.trials)
     return (stats, dist2) if keep_distances else stats
 
 
@@ -169,7 +160,7 @@ def _shadow_distance_ensemble(objective: Objective, r: float, x0, T: int,
     x0_rows = np.tile(x0, (trials, 1))
     rngs = [RngStream(seed, i) for i in range(trials)]
     res = _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs,
-                         record_y=True, trial_base=0)
+                         record_values=False, record_y=True, trial_base=0)
     diffs = res.ys - objective.minimizer
     ydist2 = np.sum(diffs * diffs, axis=-1)
     return ydist2, sched

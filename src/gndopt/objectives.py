@@ -3,8 +3,8 @@
 Every objective evaluates on a single point of shape ``(dim,)`` or on a batch
 of shape ``(..., dim)``; ``value`` returns a scalar (or an array of the batch
 shape) and ``gradient`` returns an array shaped like its input.  Objectives are
-immutable after construction and evaluation is pure, so instances can be shared
-freely across concurrent workers.
+immutable after construction and evaluation is pure, so one instance can be
+shared by every trajectory and every run.
 
 A certificate ``(alpha, L)`` is attached only where the quadratic-sandwich
 property is actually established for the given parameters:
@@ -110,7 +110,7 @@ def make_quadratic(alpha: float, d: int, x_star=None) -> Objective:
 
     def value(x):
         diff = np.asarray(x, dtype=np.float64) - x_star
-        return _scalarize(0.5 * alpha * np.sum(diff * diff, axis=-1))
+        return _scalarize(0.5 * alpha * np.add.reduce(diff * diff, axis=-1))
 
     def gradient(x):
         return alpha * (np.asarray(x, dtype=np.float64) - x_star)
@@ -177,13 +177,18 @@ def make_j1(n: int, k: int) -> Objective:
     two_n = 2 * n
 
     def integral(xs):
+        # Two (..., n) buffers reused in place; the products and sums are the
+        # same operations in the same order as the formula above.
         ang = xs[..., None] * j
         half_sin = np.sin(ang)
-        return (
-            0.5 * c0 * xs * xs
-            + xs * np.sum(w_sin * np.sin(2.0 * ang), axis=-1)
-            - np.sum(w_sq * half_sin * half_sin, axis=-1)
-        )
+        np.multiply(ang, 2.0, out=ang)
+        np.sin(ang, out=ang)
+        ang *= w_sin
+        sin_sum = np.add.reduce(ang, axis=-1)
+        np.multiply(half_sin, w_sq, out=ang)
+        ang *= half_sin
+        sq_sum = np.add.reduce(ang, axis=-1)
+        return 0.5 * c0 * xs * xs + xs * sin_sum - sq_sum
 
     def value(x):
         xs = np.asarray(x, dtype=np.float64)[..., 0]
@@ -286,7 +291,8 @@ def make_rastrigin(a: float, b: float, c: float, d: int) -> Objective:
 
     def value(x):
         x = np.asarray(x, dtype=np.float64)
-        return _scalarize(a * (d - np.sum(np.cos(b * x), axis=-1)) + c * np.sum(x * x, axis=-1))
+        return _scalarize(a * (d - np.add.reduce(np.cos(b * x), axis=-1))
+                          + c * np.add.reduce(x * x, axis=-1))
 
     def gradient(x):
         x = np.asarray(x, dtype=np.float64)

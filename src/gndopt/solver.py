@@ -129,18 +129,30 @@ def sigma_of(eta: float, s: float, f_half: float, f_lb: float):
     return np.sqrt(eta * s * np.maximum(np.asarray(f_half) - f_lb, 0.0))
 
 
-def _check_values(v, t, base):
-    bad = ~np.isfinite(v) | (np.abs(v) > GUARD_LIMIT)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DivergedError(iteration=t, trial=None if base is None else base + row)
+_GUARD_LIMIT_SQ = GUARD_LIMIT**2
+
+# Quantities named by DivergedError: f(x_t) at the reported iteration t, the
+# half-step value f(x_{t+1/2}) of iteration t, and grad f(x_t).
+VALUE, HALF_VALUE, GRADIENT = "value", "half-step value", "gradient"
+
+
+def _diverged(ok, t, base, quantity):
+    row = int(np.argmin(ok))  # first row whose test failed
+    raise DivergedError(iteration=t, trial=None if base is None else base + row,
+                        quantity=quantity)
+
+
+def _check_values(v, t, base, quantity=VALUE):
+    # NaN propagates through the max and fails the comparison, as do +-inf.
+    if not np.maximum.reduce(np.abs(v)) <= GUARD_LIMIT:
+        _diverged(np.abs(v) <= GUARD_LIMIT, t, base, quantity)
 
 
 def _check_gradients(g, t, base):
-    bad = ~np.all(np.isfinite(g), axis=-1) | (np.sum(g * g, axis=-1) > GUARD_LIMIT**2)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DivergedError(iteration=t, trial=None if base is None else base + row)
+    # A non-finite component makes its row's squared norm inf or NaN.
+    norm2 = np.add.reduce(g * g, axis=-1)
+    if not np.maximum.reduce(norm2) <= _GUARD_LIMIT_SQ:
+        _diverged(norm2 <= _GUARD_LIMIT_SQ, t, base, GRADIENT)
 
 
 class _BatchResult:
@@ -152,13 +164,18 @@ class _BatchResult:
 
 
 def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, x_star=None,
-                   record_points=False, record_y=False, trial_base=None) -> _BatchResult:
+                   record_values=True, record_points=False, record_y=False,
+                   trial_base=None) -> _BatchResult:
     """Run cfg.T GND iterations on a batch of trajectories, one rng stream per row.
 
     ``f_lb`` may be a scalar or a per-row vector (used by the double-loop
     ensemble); it defaults to ``cfg.f_lb``.  When ``x_star`` is given, squared
-    distances to it are recorded per iteration.  Raises DivergedError as soon
-    as any row produces a non-finite value/gradient or exceeds GUARD_LIMIT.
+    distances to it are recorded per iteration.  With ``record_values=False``
+    the per-iteration ``values``, ``sigmas`` and ``half_values`` (and
+    ``t_star``) are not stored; every value is still evaluated and guarded, so
+    the iterates and the stream consumption do not change.  Raises
+    DivergedError as soon as any row produces a non-finite value/gradient or
+    exceeds GUARD_LIMIT.
     """
     x = np.array(x0, dtype=np.float64)
     m, d = x.shape
@@ -167,70 +184,80 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, x_star=None,
     T = int(cfg.T)
     eta = float(cfg.eta)
     s = float(cfg.s)
+    eta_s = eta * s
     f_lb = cfg.f_lb if f_lb is None else f_lb
     r = float(oracle.r)
     draw_omega = r > 0.0
     draw_xi = s > 0.0
     cols = d * (int(draw_omega) + int(draw_xi))
+    xi_cols = slice(d if draw_omega else 0, None)
     sqrt_d = math.sqrt(d)
 
-    values = np.empty((m, T + 1))
-    sigmas = np.empty((m, T))
-    half_values = np.empty((m, T))
+    values = np.empty((m, T + 1)) if record_values else None
+    sigmas = np.empty((m, T)) if record_values else None
+    half_values = np.empty((m, T)) if record_values else None
     points = np.empty((m, T + 1, d)) if record_points else None
     ys = np.empty((m, T + 1, d)) if record_y else None
     dist2 = np.empty((m, T + 1)) if x_star is not None else None
 
-    v = np.atleast_1d(objective.value(x))
+    v = objective.value(x)
     _check_values(v, 0, trial_base)
-    values[:, 0] = v
+    if record_values:
+        values[:, 0] = v
     if record_points:
         points[:, 0] = x
     if dist2 is not None:
-        dist2[:, 0] = np.sum((x - x_star) ** 2, axis=-1)
+        diff = x - x_star
+        dist2[:, 0] = np.add.reduce(diff * diff, axis=-1)
 
-    block = None
-    bpos = 0
+    # Noise for up to _RNG_BLOCK iterations, already divided by sqrt(d): one
+    # buffer per call, refilled stream by stream in draw order.
+    block = np.empty((m, min(_RNG_BLOCK, T), cols)) if cols else None
+    span = bpos = 0
     for t in range(T):
-        if cols and (block is None or bpos == block.shape[1]):
+        if cols and bpos == span:
             span = min(_RNG_BLOCK, T - t)
-            block = np.stack([rng.normals((span, cols)) for rng in rngs])
+            fill = block[:, :span]
+            for row, rng in enumerate(rngs):
+                fill[row] = rng.normals((span, cols))
+            fill /= sqrt_d
             bpos = 0
         g = objective.gradient(x)
         _check_gradients(g, t, trial_base)
         if record_y:
             ys[:, t] = x - eta * g
         if draw_omega:
-            sg = g + r * (block[:, bpos, :d] / sqrt_d)
-        else:
-            sg = g
-        xh = x - eta * sg
-        vh = np.atleast_1d(objective.value(xh))
-        _check_values(vh, t, trial_base)
-        half_values[:, t] = vh
-        sig = np.sqrt(eta * s * np.maximum(vh - f_lb, 0.0))
-        sigmas[:, t] = sig
+            g = g + r * block[:, bpos, :d]
+        xh = x - eta * g
+        vh = objective.value(xh)
+        _check_values(vh, t, trial_base, HALF_VALUE)
+        if draw_xi or record_values:
+            sig = np.sqrt(eta_s * np.maximum(vh - f_lb, 0.0))
+        if record_values:
+            half_values[:, t] = vh
+            sigmas[:, t] = sig
         if draw_xi:
-            xi = block[:, bpos, (d if draw_omega else 0):]
-            x = xh - sig[:, None] * (xi / sqrt_d)
+            x = xh - sig[:, None] * block[:, bpos, xi_cols]
         else:
             x = xh
-        if cols:
-            bpos += 1
-        v = np.atleast_1d(objective.value(x))
+        bpos += 1
+        v = objective.value(x)
         _check_values(v, t + 1, trial_base)
-        values[:, t + 1] = v
+        if record_values:
+            values[:, t + 1] = v
         if record_points:
             points[:, t + 1] = x
         if dist2 is not None:
-            dist2[:, t + 1] = np.sum((x - x_star) ** 2, axis=-1)
+            diff = x - x_star
+            dist2[:, t + 1] = np.add.reduce(diff * diff, axis=-1)
 
     if record_y:
         g = objective.gradient(x)
         _check_gradients(g, T, trial_base)
         ys[:, T] = x - eta * g
 
-    t_star = np.argmin(values, axis=1)  # argmin returns the first minimizing index
+    # argmin returns the first minimizing index
+    t_star = np.argmin(values, axis=1) if record_values else None
     return _BatchResult(values=values, sigmas=sigmas, half_values=half_values,
                         points=points, ys=ys, dist2=dist2, t_star=t_star)
 

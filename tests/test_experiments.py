@@ -3,7 +3,7 @@ import pytest
 
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, StatsSeries,
-                    contraction_check, dlgnd_run, gnd_run, make_j1,
+                    contraction_check, dlgnd_run, experiments, gnd_run, make_j1,
                     make_quadratic, run_monte_carlo, stopping_time_check,
                     write_csv, write_svg)
 
@@ -50,12 +50,13 @@ class TestRunMonteCarlo:
         thr2 = cfg.threshold**2
         assert np.array_equal(np.count_nonzero(brute > thr2, axis=0) / cfg.trials, stats.ncp)
 
-    @pytest.mark.parametrize("workers", [1, 4, 8])
-    def test_worker_count_does_not_change_output(self, workers):
+    @pytest.mark.parametrize("rows", [1, 7, 256, 600])
+    def test_row_block_size_does_not_change_output(self, monkeypatch, rows):
         j1 = make_j1(7, 1)
         alg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=40)
-        reference = run_monte_carlo(_cfg(j1, alg, trials=600, workers=1))
-        got = run_monte_carlo(_cfg(j1, alg, trials=600, workers=workers))
+        reference = run_monte_carlo(_cfg(j1, alg, trials=600))
+        monkeypatch.setattr(experiments, "_CHUNK", rows)
+        got = run_monte_carlo(_cfg(j1, alg, trials=600))
         assert np.array_equal(reference.mse, got.mse)
         assert np.array_equal(reference.ncp, got.ncp)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gndopt import (DivergedError, DlGndConfig, GndConfig, ParameterError,
-                    RngStream, SgOracle, dlgnd_run, gd_run, gnd_run,
-                    j1_stationary_points, make_j1, make_quadratic, sigma_of)
-from gndopt.solver import _run_gnd_batch
+from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
+                    ParameterError, RngStream, SgOracle, dlgnd_run, gd_run, gnd_run,
+                    j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
+                    run_monte_carlo, sigma_of, solver)
+from gndopt.solver import GUARD_LIMIT, _run_gnd_batch
 
 DATA = Path(__file__).parent / "data"
 
@@ -164,6 +166,90 @@ class TestEnsembleKernel:
             _run_gnd_batch(q, SgOracle(q, 0.0), x0s, cfg,
                            [RngStream(0, 0), RngStream(0, 1)], trial_base=40)
         assert err.value.trial == 41
+
+
+def _poisoned(objective, kind, call, bad):
+    """``objective`` whose ``kind`` call number ``call`` (0-based) returns ``bad`` in rows 3 and up.
+
+    Value calls come in the kernel's order: f(x_0), then per iteration t the
+    half-step value f(x_{t+1/2}) and f(x_{t+1}); gradient call t is grad f(x_t).
+    """
+    calls = [0]
+    clean = getattr(objective, kind)
+
+    def fn(x):
+        out = np.array(clean(x), dtype=np.float64)
+        if calls[0] == call:
+            out[3:] = bad
+        calls[0] += 1
+        return out
+
+    return dataclasses.replace(objective, **{kind: fn})
+
+
+class TestDivergenceGuard:
+    @pytest.mark.parametrize("record_values", [True, False])
+    @pytest.mark.parametrize("kind, call, bad, iteration, quantity", [
+        ("value", 10, np.nan, 5, "value"),
+        ("value", 7, np.inf, 3, "half-step value"),
+        ("value", 0, -2.0 * GUARD_LIMIT, 0, "value"),
+        ("gradient", 4, [1.0, -np.inf], 4, "gradient"),
+        # finite components below GUARD_LIMIT, squared row norm 1.62 * GUARD_LIMIT**2
+        ("gradient", 2, [0.9 * GUARD_LIMIT, -0.9 * GUARD_LIMIT], 2, "gradient"),
+    ])
+    def test_names_first_failing_row_iteration_and_quantity(self, kind, call, bad, iteration,
+                                                            quantity, record_values):
+        q = _poisoned(make_quadratic(1.0, 2), kind, call, bad)
+        cfg = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10)
+        x0s = np.full((5, 2), 2.0)
+        rngs = [RngStream(0, i) for i in range(5)]
+        with pytest.raises(DivergedError) as err:
+            _run_gnd_batch(q, SgOracle(q, 0.3), x0s, cfg, rngs, x_star=q.minimizer,
+                           record_values=record_values, trial_base=40)
+        assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
+        assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
+
+
+class TestNoiseBlockInvariance:
+    """The pre-scaled noise block yields the same streams for any refill size."""
+
+    T = 1100  # crosses a refill at the default block of 1024 iterations
+
+    def _runs(self):
+        rast = make_rastrigin(1.0, 1.0, 0.05, 10)
+        oracle = SgOracle(rast, 0.3)  # r > 0 and s > 0: both noise column groups drawn
+        cfg = GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=self.T)
+        traj = gnd_run(rast, oracle, np.linspace(-4.0, 4.0, 10), cfg, RngStream(6, 2))
+        stats = run_monte_carlo(ExperimentConfig(
+            objective=rast, algorithm=cfg, sg_noise_r=0.3, trials=12,
+            init_low=-5.0, init_high=5.0, seed=9))
+        return traj, stats
+
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    def test_block_size_does_not_change_output(self, monkeypatch, block):
+        monkeypatch.setattr(solver, "_RNG_BLOCK", self.T)
+        ref_traj, ref_stats = self._runs()
+        monkeypatch.setattr(solver, "_RNG_BLOCK", block)
+        traj, stats = self._runs()
+        for name in ("points", "values", "sigmas", "half_values"):
+            assert np.array_equal(getattr(traj, name), getattr(ref_traj, name))
+        assert traj.t_star == ref_traj.t_star
+        assert np.array_equal(stats.mse, ref_stats.mse)
+        assert np.array_equal(stats.ncp, ref_stats.ncp)
+
+    def test_distances_do_not_depend_on_recorded_arrays(self):
+        rast = make_rastrigin(1.0, 1.0, 0.05, 10)
+        oracle = SgOracle(rast, 0.3)
+        cfg = GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=60)
+        x0s = np.linspace(-4.0, 4.0, 50).reshape(5, 10)
+        full, bare = (
+            _run_gnd_batch(rast, oracle, x0s, cfg, [RngStream(4, i) for i in range(5)],
+                           x_star=rast.minimizer, record_values=record, record_points=True)
+            for record in (True, False))
+        assert bare.values is None and bare.sigmas is None and bare.half_values is None
+        assert np.array_equal(full.dist2, bare.dist2)
+        assert np.array_equal(full.points, bare.points)
+        assert np.array_equal(full.dist2, np.sum(full.points**2, axis=-1))
 
 
 class TestDlGnd:
