@@ -189,7 +189,7 @@ def _cmd_stbound(args) -> int:
 
 
 def _parse_config_file(path: Path) -> dict:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (R vs r)
     try:
         text = path.read_text()

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ParameterError(ValueError):
     """An operation received invalid parameters."""
@@ -32,3 +34,10 @@ class DivergedError(RuntimeError):
         if quantity is not None:
             where += f" ({quantity})"
         super().__init__(f"trajectory diverged at {where}")
+
+
+def require_finite(**params) -> None:
+    """Raise ParameterError naming the first parameter that is NaN or infinite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")

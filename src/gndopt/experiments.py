@@ -2,11 +2,14 @@
 
 Determinism contract: trial i draws from stream ``(seed, i)``, consuming its d
 initial-point uniforms before any solver draws.  Trials run sequentially in
-row blocks of a fixed size whose results land in preallocated rows; each
-trial depends only on its own stream, and the final aggregation is a
-deterministic fold over the full matrix, so output is bit-identical for any
-row-block size.  Diverged trajectories abort the whole experiment (silently
-dropping them would bias the error statistics).
+row blocks of a fixed size, and each trial depends only on its own stream.
+Aggregation is a fold in trial order: each block's squared distances are
+added row by row into a running sum (and counted into a running miss count)
+and then dropped, so memory does not grow with the trial count.  Adding rows
+in trial order is exactly what ``mean(axis=0)`` over the full matrix does, so
+the output bytes do not depend on the row-block size.  Diverged trajectories
+abort the whole experiment (silently dropping them would bias the error
+statistics).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from gndopt.errors import ParameterError
+from gndopt.errors import ParameterError, require_finite
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
 from gndopt.solver import DlGndConfig, GndConfig, _run_dlgnd_batch, _run_gnd_batch
@@ -25,7 +28,10 @@ from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
 
 Array = np.ndarray
 
-_CHUNK = 256  # trials per kernel call; bounds the noise block at _CHUNK x _RNG_BLOCK x cols
+# Trials per kernel call: bounds the kernel's per-row working set (streams,
+# iterates, objective temporaries) and the per-block distance matrix at
+# _CHUNK x (T+1).  The noise buffer is bounded by bytes in the solver.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
+        require_finite(sg_noise_r=self.sg_noise_r, threshold=self.threshold)
         if self.sg_noise_r < 0:
             raise ParameterError(f"sg_noise_r must be nonnegative, got {self.sg_noise_r}")
         if not self.threshold > 0:
@@ -54,6 +61,8 @@ class ExperimentConfig:
         d = self.objective.dim
         low = np.broadcast_to(np.asarray(self.init_low, dtype=np.float64), (d,))
         high = np.broadcast_to(np.asarray(self.init_high, dtype=np.float64), (d,))
+        if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high))):
+            raise ParameterError("init box bounds must be finite")
         if np.any(low > high):
             raise ParameterError("init box must satisfy low <= high per coordinate")
 
@@ -108,39 +117,49 @@ def _init_box(cfg: ExperimentConfig) -> tuple[Array, Array]:
     return low, high
 
 
+def _block_distances(cfg: ExperimentConfig, oracle: SgOracle, low: Array, span: Array,
+                     i0: int, i1: int) -> Array:
+    """Squared distances to the minimizer of trials i0..i1-1: row i - i0, column t."""
+    obj = cfg.objective
+    rngs = [RngStream(cfg.seed, i) for i in range(i0, i1)]
+    x0 = np.empty((i1 - i0, obj.dim))
+    for row, rng in enumerate(rngs):
+        x0[row] = low + span * rng.uniforms(obj.dim)
+    if isinstance(cfg.algorithm, GndConfig):
+        return _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, x_star=obj.minimizer,
+                              record_values=False, trial_base=i0).dist2
+    return _run_dlgnd_batch(obj, oracle, x0, cfg.algorithm, rngs, obj.minimizer,
+                            trial_base=i0)
+
+
 def run_monte_carlo(cfg: ExperimentConfig, keep_distances: bool = False):
     """Run the configured algorithm over the trial ensemble and aggregate stats.
 
     Returns a :class:`StatsSeries`; with ``keep_distances=True`` returns
     ``(stats, dist2)`` where ``dist2[i, t]`` is trial i's squared distance to
-    the minimizer after t iterations.
+    the minimizer after t iterations.  Only then is the full trials x (T+1)
+    matrix held; otherwise one row block's distances are live at a time.
     """
-    obj = cfg.objective
-    oracle = SgOracle(obj, cfg.sg_noise_r)
+    oracle = SgOracle(cfg.objective, cfg.sg_noise_r)
     low, high = _init_box(cfg)
     span = high - low
-    x_star = obj.minimizer
-    total = cfg.total_iterations
-    dist2 = np.empty((cfg.trials, total + 1))
+    width = cfg.total_iterations + 1
+    thr2 = cfg.threshold * cfg.threshold
+    total = np.zeros(width)
+    misses = np.zeros(width, dtype=np.intp)
+    dist2 = np.empty((cfg.trials, width)) if keep_distances else None
 
     for i0 in range(0, cfg.trials, _CHUNK):
         i1 = min(i0 + _CHUNK, cfg.trials)
-        rngs = [RngStream(cfg.seed, i) for i in range(i0, i1)]
-        x0 = np.empty((i1 - i0, obj.dim))
-        for row, rng in enumerate(rngs):
-            x0[row] = low + span * rng.uniforms(obj.dim)
-        if isinstance(cfg.algorithm, GndConfig):
-            res = _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, x_star=x_star,
-                                 record_values=False, trial_base=i0)
-            dist2[i0:i1] = res.dist2
-        else:
-            dist2[i0:i1] = _run_dlgnd_batch(obj, oracle, x0, cfg.algorithm, rngs,
-                                            x_star, trial_base=i0)
+        block = _block_distances(cfg, oracle, low, span, i0, i1)
+        for row in block:  # trial order, as mean(axis=0) adds rows
+            total += row
+        misses += np.count_nonzero(block > thr2, axis=0)
+        if dist2 is not None:
+            dist2[i0:i1] = block
+        del block, row  # so no two blocks are live during the next kernel call
 
-    mse = dist2.mean(axis=0)
-    thr2 = cfg.threshold * cfg.threshold
-    ncp = np.count_nonzero(dist2 > thr2, axis=0) / cfg.trials
-    stats = StatsSeries(mse=mse, ncp=ncp, trials=cfg.trials)
+    stats = StatsSeries(mse=total / cfg.trials, ncp=misses / cfg.trials, trials=cfg.trials)
     return (stats, dist2) if keep_distances else stats
 
 

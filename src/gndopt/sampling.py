@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gndopt.errors import ParameterError
+from gndopt.errors import ParameterError, require_finite
 from gndopt.objectives import Objective
 
 Array = np.ndarray
@@ -77,6 +77,7 @@ class SgOracle:
     r: float = 0.0
 
     def __post_init__(self):
+        require_finite(r=self.r)
         if self.r < 0:
             raise ParameterError(f"noise scale r must be nonnegative, got {self.r}")
 

@@ -27,14 +27,17 @@ from typing import Optional
 
 import numpy as np
 
-from gndopt.errors import DivergedError, ParameterError
+from gndopt.errors import DivergedError, ParameterError, require_finite
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
 
 Array = np.ndarray
 
 GUARD_LIMIT = 1e12
-_RNG_BLOCK = 1024  # iterations of noise pregenerated per refill; any value yields the same streams
+# Bytes of noise pregenerated per refill, across all rows of a kernel call.  The
+# span in iterations follows from the batch size and the draws per iteration;
+# any span yields the same streams.
+_NOISE_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,7 @@ class GndConfig:
     record_y: bool = False
 
     def __post_init__(self):
+        require_finite(eta=self.eta, s=self.s, f_lb=self.f_lb)
         if not self.eta > 0:
             raise ParameterError(f"eta must be positive, got {self.eta}")
         if self.s < 0:
@@ -77,6 +81,7 @@ class DlGndConfig:
     record_y: bool = False
 
     def __post_init__(self):
+        require_finite(eta=self.eta, s=self.s, f_lb0=self.f_lb0)
         if not self.eta > 0:
             raise ParameterError(f"eta must be positive, got {self.eta}")
         if self.s < 0:
@@ -210,13 +215,15 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, x_star=None,
         diff = x - x_star
         dist2[:, 0] = np.add.reduce(diff * diff, axis=-1)
 
-    # Noise for up to _RNG_BLOCK iterations, already divided by sqrt(d): one
-    # buffer per call, refilled stream by stream in draw order.
-    block = np.empty((m, min(_RNG_BLOCK, T), cols)) if cols else None
+    # Noise for up to `most` iterations, already divided by sqrt(d): one buffer
+    # per call of at most _NOISE_BYTES (or of one iteration, if that is more),
+    # refilled stream by stream in draw order.
+    most = max(1, min(T, _NOISE_BYTES // (8 * m * cols))) if cols else 0
+    block = np.empty((m, most, cols)) if cols else None
     span = bpos = 0
     for t in range(T):
         if cols and bpos == span:
-            span = min(_RNG_BLOCK, T - t)
+            span = min(most, T - t)
             fill = block[:, :span]
             for row, rng in enumerate(rngs):
                 fill[row] = rng.normals((span, cols))

@@ -1,6 +1,11 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from gndopt.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +110,19 @@ class TestRun:
         assert body.startswith("t,mse,ncp\n")
         assert len(body.strip().splitlines()) == 32
 
+    def test_readme_config_example_runs(self, capsys, tmp_path):
+        (example,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        assert "#" in example  # the inline comments are part of what is checked
+        text = re.sub(r"(?m)^trials = \d+$", "trials = 8", example)
+        text = re.sub(r"(?m)^T = \d+$", "T = 12", text)
+        assert text != example
+        cfg = tmp_path / "example.toml"
+        cfg.write_text(text)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out", str(out_dir), "--quiet")
+        assert code == 0, err
+        assert len((out_dir / "example.csv").read_text().strip().splitlines()) == 1 + 13
+
     def test_bad_algorithm_is_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "exp.toml"
         cfg.write_text('[objective]\nfunction = "j1"\nn = 7\nk = 1\n\n'
@@ -143,6 +161,29 @@ class TestBench:
             assert code == 0
             outs.append((out / "j1-7-1-gnd.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2] == outs[3]
+
+    @pytest.mark.parametrize("algo,flag,bad", [
+        ("gnd", "--r", "nan"), ("gnd", "--r", "inf"), ("gnd", "--f-lb", "nan"),
+        ("gnd", "--f-lb", "-inf"), ("gnd", "--s", "inf"), ("gnd", "--s", "nan"),
+        ("gnd", "--eta", "inf"), ("gnd", "--threshold", "nan"),
+        ("gnd", "--threshold", "inf"), ("dlgnd", "--f-lb0", "nan"),
+        ("dlgnd", "--s", "inf"),
+    ])
+    def test_non_finite_flag_is_exit_1(self, capsys, tmp_path, algo, flag, bad):
+        code, _, err = run_cli(capsys, "bench", "j1-7-1", "--algo", algo, "--trials", "4",
+                               "--T", "5", "--N", "2", "--out", str(tmp_path), "--quiet",
+                               f"{flag}={bad}")
+        assert code == 1
+        assert "must be finite" in err
+        assert not (tmp_path / f"j1-7-1-{algo}.csv").exists()
+
+    def test_non_finite_init_box_in_config_is_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.toml"
+        cfg.write_text('[experiment]\ntrials = 4\nT = 5\ninit_low = nan\n\n'
+                       '[objective]\nfunction = "j1"\nn = 7\nk = 1\n')
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out", str(tmp_path), "--quiet")
+        assert code == 1
+        assert "init box" in err
 
     def test_dlgnd_bench_runs(self, capsys, tmp_path):
         out = tmp_path / "out"

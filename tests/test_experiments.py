@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, StatsSeries,
                     contraction_check, dlgnd_run, experiments, gnd_run, make_j1,
-                    make_quadratic, run_monte_carlo, stopping_time_check,
-                    write_csv, write_svg)
+                    make_quadratic, make_rastrigin, run_monte_carlo,
+                    stopping_time_check, write_csv, write_svg)
 
 
 def _cfg(objective, algorithm, **kw):
@@ -50,15 +52,33 @@ class TestRunMonteCarlo:
         thr2 = cfg.threshold**2
         assert np.array_equal(np.count_nonzero(brute > thr2, axis=0) / cfg.trials, stats.ncp)
 
+    ALGORITHMS = {
+        "gnd": GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=40),
+        "dlgnd": DlGndConfig(eta=0.4, s=0.5, f_lb0=-1.0, gamma=0.5, N=3, T1=10, T2=5),
+    }
+
+    @pytest.mark.parametrize("algo", ["gnd", "dlgnd"])
     @pytest.mark.parametrize("rows", [1, 7, 256, 600])
-    def test_row_block_size_does_not_change_output(self, monkeypatch, rows):
+    def test_row_block_size_does_not_change_output(self, monkeypatch, rows, algo):
         j1 = make_j1(7, 1)
-        alg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=40)
+        alg = self.ALGORITHMS[algo]
         reference = run_monte_carlo(_cfg(j1, alg, trials=600))
         monkeypatch.setattr(experiments, "_CHUNK", rows)
         got = run_monte_carlo(_cfg(j1, alg, trials=600))
         assert np.array_equal(reference.mse, got.mse)
         assert np.array_equal(reference.ncp, got.ncp)
+
+    @pytest.mark.parametrize("algo", ["gnd", "dlgnd"])
+    @pytest.mark.parametrize("rows", [7, 256])
+    def test_streamed_stats_equal_full_matrix_reductions(self, monkeypatch, rows, algo):
+        monkeypatch.setattr(experiments, "_CHUNK", rows)
+        cfg = _cfg(make_j1(7, 1), self.ALGORITHMS[algo], trials=300)
+        stats, dist2 = run_monte_carlo(cfg, keep_distances=True)
+        assert np.array_equal(stats.mse, dist2.mean(axis=0))
+        thr2 = cfg.threshold**2
+        assert np.array_equal(stats.ncp, np.count_nonzero(dist2 > thr2, axis=0) / cfg.trials)
+        assert np.any((stats.ncp > 0.0) & (stats.ncp < 1.0))  # hits and misses both occur
+        assert np.array_equal(run_monte_carlo(cfg).mse, stats.mse)
 
     def test_deterministic_gd_ensemble_mse_is_geometric(self):
         q = make_quadratic(1.0, 1)
@@ -107,6 +127,40 @@ class TestRunMonteCarlo:
             _cfg(q, alg, threshold=0.0)
         with pytest.raises(ParameterError):
             _cfg(q, alg, init_low=1.0, init_high=-1.0)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("threshold", np.inf), ("threshold", np.nan), ("sg_noise_r", np.nan),
+        ("sg_noise_r", np.inf), ("init_low", np.nan), ("init_low", -np.inf),
+        ("init_high", np.inf), ("init_high", np.array([np.nan, 1.0])),
+    ])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        q = make_quadratic(1.0, 2)
+        alg = GndConfig(eta=0.1, s=0.0, f_lb=0.0, T=1)
+        with pytest.raises(ParameterError, match="must be finite"):
+            _cfg(q, alg, **{field: bad})
+
+
+class TestMemory:
+    """Peak memory of an ensemble follows the row block, not the trial count."""
+
+    @staticmethod
+    def _peak(trials):
+        rast = make_rastrigin(1.0, 1.0, 0.05, 10)
+        cfg = _cfg(rast, GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=200), trials=trials,
+                   init_low=-5.0, init_high=5.0)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_trials(self):
+        self._peak(20)  # first-call allocations are not part of any run below
+        one_block = self._peak(experiments._CHUNK)
+        # Two blocks and five blocks: no block may outlive its fold.
+        assert self._peak(300) <= one_block * 1.02
+        assert self._peak(1200) <= one_block * 1.02
 
 
 class TestContractionCheck:

@@ -110,3 +110,8 @@ class TestSgOracle:
     def test_negative_r_rejected(self):
         with pytest.raises(ParameterError):
             SgOracle(make_quadratic(1.0, 1), -0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_r_rejected(self, bad):
+        with pytest.raises(ParameterError, match="r must be finite"):
+            SgOracle(make_quadratic(1.0, 1), bad)

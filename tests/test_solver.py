@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,31 +212,77 @@ class TestDivergenceGuard:
 
 
 class TestNoiseBlockInvariance:
-    """The pre-scaled noise block yields the same streams for any refill size."""
+    """The pre-scaled noise block yields the same streams for any refill span."""
 
-    T = 1100  # crosses a refill at the default block of 1024 iterations
+    T = 1100
+    TRIALS = 12
+    COLS = 20  # r > 0 and s > 0 at d = 10: both noise column groups drawn
 
-    def _runs(self):
+    def _runs(self, monkeypatch, span):
+        """One trajectory and one ensemble, each with _NOISE_BYTES sized to ``span`` iterations."""
         rast = make_rastrigin(1.0, 1.0, 0.05, 10)
-        oracle = SgOracle(rast, 0.3)  # r > 0 and s > 0: both noise column groups drawn
+        oracle = SgOracle(rast, 0.3)
         cfg = GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=self.T)
+        monkeypatch.setattr(solver, "_NOISE_BYTES", 8 * self.COLS * span)
         traj = gnd_run(rast, oracle, np.linspace(-4.0, 4.0, 10), cfg, RngStream(6, 2))
+        monkeypatch.setattr(solver, "_NOISE_BYTES", 8 * self.TRIALS * self.COLS * span)
         stats = run_monte_carlo(ExperimentConfig(
-            objective=rast, algorithm=cfg, sg_noise_r=0.3, trials=12,
+            objective=rast, algorithm=cfg, sg_noise_r=0.3, trials=self.TRIALS,
             init_low=-5.0, init_high=5.0, seed=9))
         return traj, stats
 
-    @pytest.mark.parametrize("block", [1, 3, 1024])
-    def test_block_size_does_not_change_output(self, monkeypatch, block):
-        monkeypatch.setattr(solver, "_RNG_BLOCK", self.T)
-        ref_traj, ref_stats = self._runs()
-        monkeypatch.setattr(solver, "_RNG_BLOCK", block)
-        traj, stats = self._runs()
+    @pytest.mark.parametrize("span", [1, 3, T])
+    def test_span_does_not_change_output(self, monkeypatch, span):
+        ref_traj, ref_stats = self._runs(monkeypatch, 1024)  # one refill at t = 1024
+        traj, stats = self._runs(monkeypatch, span)
         for name in ("points", "values", "sigmas", "half_values"):
             assert np.array_equal(getattr(traj, name), getattr(ref_traj, name))
         assert traj.t_star == ref_traj.t_star
         assert np.array_equal(stats.mse, ref_stats.mse)
         assert np.array_equal(stats.ncp, ref_stats.ncp)
+
+    @pytest.mark.parametrize("budget,spans", [
+        (8 * 4 * 2 * 3, [3, 3, 3, 1]),  # three iterations of 4 rows x 2 columns
+        (8 * 4 * 2 * 3 + 63, [3, 3, 3, 1]),  # a budget between spans rounds down
+        (1, [1] * 10),  # below one iteration: one iteration per refill
+        (2**40, [10]),  # never more than the run
+    ])
+    def test_span_follows_byte_budget(self, monkeypatch, budget, spans):
+        q = make_quadratic(1.0, 1)
+        calls = []
+        real = RngStream.normals
+
+        def counted(rng, shape):
+            calls.append(shape)
+            return real(rng, shape)
+
+        monkeypatch.setattr(solver, "_NOISE_BYTES", budget)
+        monkeypatch.setattr(RngStream, "normals", counted)
+        _run_gnd_batch(q, SgOracle(q, 0.5), np.ones((4, 1)),
+                       GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10),
+                       [RngStream(1, i) for i in range(4)], record_values=False)
+        assert calls == [(span, 2) for span in spans for _ in range(4)]
+
+    def test_noise_buffer_stays_within_budget(self):
+        # m = 256 rows x 20 columns x 300 iterations would be 12.3 MB in one block.
+        rast = make_rastrigin(1.0, 1.0, 0.05, 10)
+        x0 = np.linspace(-4.0, 4.0, 2560).reshape(256, 10)
+
+        def peak(r, s):
+            cfg = GndConfig(eta=0.05, s=s, f_lb=0.0, T=300)
+            rngs = [RngStream(3, i) for i in range(256)]
+            tracemalloc.start()
+            try:
+                _run_gnd_batch(rast, SgOracle(rast, r), x0, cfg, rngs, record_values=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Against the same run without noise columns; the rest is a refill's
+        # per-row draw and the noisy step's (256, 10) temporaries.
+        noise = peak(0.3, 2.0) - peak(0.0, 0.0)
+        one_iteration = 8 * 256 * 20
+        assert 0 < noise <= solver._NOISE_BYTES + 2 * one_iteration
 
     def test_distances_do_not_depend_on_recorded_arrays(self):
         rast = make_rastrigin(1.0, 1.0, 0.05, 10)
@@ -305,6 +352,24 @@ class TestDlGnd:
             DlGndConfig(eta=0.4, s=0.5, f_lb0=-1.0, gamma=1.0, N=5, T1=5, T2=5)
         with pytest.raises(ParameterError):
             DlGndConfig(eta=0.4, s=0.5, f_lb0=-1.0, gamma=0.5, N=0, T1=5, T2=5)
+
+    @pytest.mark.parametrize("field", ["eta", "s", "f_lb0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        params = dict(eta=0.4, s=0.5, f_lb0=-1.0, gamma=0.5, N=5, T1=5, T2=5)
+        params[field] = bad
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            DlGndConfig(**params)
+
+
+class TestGndConfig:
+    @pytest.mark.parametrize("field", ["eta", "s", "f_lb"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        params = dict(eta=0.4, s=0.5, f_lb=0.0, T=5)
+        params[field] = bad
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            GndConfig(**params)
 
 
 @settings(max_examples=30, deadline=None)
