@@ -206,17 +206,15 @@ def _build_algorithm(section: dict, default_t: int):
     kind = section.get("algorithm", "gnd")
     f = lambda key, dv: float(section.get(key, dv))
     i = lambda key, dv: int(section.get(key, dv))
-    record_y = section.get("record_y", "false").lower() in ("1", "true", "yes")
     if kind == "gnd":
         return GndConfig(eta=f("eta", 0.4), s=f("s", 0.5), f_lb=f("f_lb", 0.0),
-                         T=i("T", default_t), record_y=record_y)
+                         T=i("T", default_t))
     if kind == "gd":
-        return GndConfig(eta=f("eta", 0.4), s=0.0, f_lb=0.0, T=i("T", default_t),
-                         record_y=record_y)
+        return GndConfig(eta=f("eta", 0.4), s=0.0, f_lb=0.0, T=i("T", default_t))
     if kind == "dlgnd":
         return DlGndConfig(eta=f("eta", 0.4), s=f("s", 0.5), f_lb0=f("f_lb0", -1.0),
                            gamma=f("gamma", 0.5), N=i("N", 30), T1=i("T1", 40),
-                           T2=i("T2", 10), record_y=record_y)
+                           T2=i("T2", 10))
     raise ParameterError(f"unknown algorithm {kind!r}; valid: gnd, dlgnd, gd")
 
 
@@ -310,8 +308,7 @@ def _cmd_bench(args) -> int:
         fh.write("\n[algorithm]\n")
         fh.write(f"algorithm = {algo}\n")
         for key, val in vars(algorithm).items():
-            if key != "record_y":
-                fh.write(f"{key} = {val}\n")
+            fh.write(f"{key} = {val}\n")
         fh.write("\n[experiment]\n")
         for key, val in exp.items():
             fh.write(f"{key} = {val}\n")

@@ -128,8 +128,8 @@ def _block_distances(cfg: ExperimentConfig, oracle: SgOracle, low: Array, span: 
     if isinstance(cfg.algorithm, GndConfig):
         return _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, x_star=obj.minimizer,
                               record_values=False, trial_base=i0).dist2
-    return _run_dlgnd_batch(obj, oracle, x0, cfg.algorithm, rngs, obj.minimizer,
-                            trial_base=i0)
+    return _run_dlgnd_batch(obj, oracle, x0, cfg.algorithm, rngs, x_star=obj.minimizer,
+                            trial_base=i0).dist2
 
 
 def run_monte_carlo(cfg: ExperimentConfig, keep_distances: bool = False):
@@ -174,8 +174,10 @@ def _shadow_distance_ensemble(objective: Objective, r: float, x0, T: int,
         raise ParameterError("a certified objective is required")
     alpha, big_l = objective.certificate
     sched = gnd_schedule(alpha, big_l, r, f_gap=0.0)
-    cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=objective.min_value, T=T, record_y=True)
+    cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=objective.min_value, T=T)
     x0 = np.asarray(x0, dtype=np.float64).reshape(objective.dim)
+    if not np.all(np.isfinite(x0)):
+        raise ParameterError("x0 must be finite")
     x0_rows = np.tile(x0, (trials, 1))
     rngs = [RngStream(seed, i) for i in range(trials)]
     res = _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs,
@@ -219,6 +221,7 @@ def stopping_time_check(objective: Objective, r: float, ell: float, M: int,
     :func:`gndopt.theory.stopping_time_bound` evaluated at the empirical
     B = E[X_0 * 1{X_0 >= ell}].
     """
+    require_finite(r=r, ell=ell)
     if not r > 0:
         raise ParameterError(f"r must be positive, got {r}")
     if M < 0 or M != int(M):

@@ -17,6 +17,9 @@ reuses the step gradient and only adds one extra gradient evaluation at x_T.
 
 All runners drive the same batched kernel, so a single trajectory is bitwise
 identical to the corresponding row of an ensemble run with the same stream.
+The double loop has one batched implementation, ``_run_dlgnd_batch``, with a
+lower bound per row; ``dlgnd_run`` is its one-row case.  Its iterations are
+numbered across the whole run: outer loop nu >= 1 starts at T1 + (nu-1)*T2.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ class GndConfig:
     s: float
     f_lb: float
     T: int
-    record_y: bool = False
 
     def __post_init__(self):
         require_finite(eta=self.eta, s=self.s, f_lb=self.f_lb)
@@ -78,7 +80,6 @@ class DlGndConfig:
     N: int
     T1: int
     T2: int
-    record_y: bool = False
 
     def __post_init__(self):
         require_finite(eta=self.eta, s=self.s, f_lb0=self.f_lb0)
@@ -122,7 +123,6 @@ class DlGndTrace:
     lb_history: Array   # (N+1,) lower-bound estimates f_lb^0 .. f_lb^N
     min_points: Array   # (N+1, d) best points after stage one and each outer loop
     min_values: Array   # (N+1,)
-    inner_trajectories: Optional[list[Trajectory]]
 
 
 def sigma_of(eta: float, s: float, f_half: float, f_lb: float):
@@ -276,17 +276,18 @@ def _as_x0(objective, x0) -> Array:
     return x0
 
 
-def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig, rng: RngStream) -> Trajectory:
+def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig, rng: RngStream,
+            record_y: bool = False) -> Trajectory:
     """Run GND for cfg.T iterations from x0, recording the full trajectory."""
     x0 = _as_x0(objective, x0)
     res = _run_gnd_batch(objective, oracle, x0[None, :], cfg, [rng],
-                         record_points=True, record_y=cfg.record_y)
+                         record_points=True, record_y=record_y)
     return Trajectory(
         points=res.points[0],
         values=res.values[0],
         sigmas=res.sigmas[0],
         half_values=res.half_values[0],
-        y_points=res.ys[0] if cfg.record_y else None,
+        y_points=res.ys[0] if record_y else None,
         t_star=int(res.t_star[0]),
     )
 
@@ -294,72 +295,67 @@ def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig, rng: Rng
 def gd_run(objective: Objective, oracle: SgOracle, x0, eta: float, T: int,
            rng: RngStream, record_y: bool = False) -> Trajectory:
     """Plain (stochastic) gradient descent: GND with s = 0, bit for bit."""
-    cfg = GndConfig(eta=eta, s=0.0, f_lb=0.0, T=T, record_y=record_y)
-    return gnd_run(objective, oracle, x0, cfg, rng)
+    cfg = GndConfig(eta=eta, s=0.0, f_lb=0.0, T=T)
+    return gnd_run(objective, oracle, x0, cfg, rng, record_y=record_y)
 
 
 def dlgnd_run(objective: Objective, oracle: SgOracle, x0, cfg: DlGndConfig,
-              rng: RngStream, keep_inner: bool = False) -> DlGndTrace:
+              rng: RngStream) -> DlGndTrace:
     """Run the double-loop scheme, returning the outer-loop trace.
 
     The rng stream is consumed sequentially across all inner runs, so a
-    double-loop run owns exactly one stream like any other trajectory.
+    double-loop run owns exactly one stream like any other trajectory.  This
+    is row 0 of a one-row :func:`_run_dlgnd_batch`.
     """
     x0 = _as_x0(objective, x0)
-    n_outer = cfg.N
-    lb = np.empty(n_outer + 1)
-    mins = np.empty((n_outer + 1, objective.dim))
-    min_vals = np.empty(n_outer + 1)
-    inner = [] if keep_inner else None
-
-    f_lb = float(cfg.f_lb0)
-    stage = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=f_lb, T=cfg.T1, record_y=cfg.record_y)
-    traj = gnd_run(objective, oracle, x0, stage, rng)
-    x_min, v_min = traj.best_point(), traj.best_value()
-    lb[0], mins[0], min_vals[0] = f_lb, x_min, v_min
-    if keep_inner:
-        inner.append(traj)
-
-    for nu in range(n_outer):
-        f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
-        stage = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=f_lb, T=cfg.T2, record_y=cfg.record_y)
-        traj = gnd_run(objective, oracle, x_min, stage, rng)
-        x_min, v_min = traj.best_point(), traj.best_value()
-        lb[nu + 1], mins[nu + 1], min_vals[nu + 1] = f_lb, x_min, v_min
-        if keep_inner:
-            inner.append(traj)
-
-    return DlGndTrace(lb_history=lb, min_points=mins, min_values=min_vals,
-                      inner_trajectories=inner)
+    res = _run_dlgnd_batch(objective, oracle, x0[None, :], cfg, [rng])
+    return DlGndTrace(lb_history=res.lb_history[0], min_points=res.min_points[0],
+                      min_values=res.min_values[0])
 
 
-def _run_dlgnd_batch(objective, oracle, x0, cfg, rngs, x_star, trial_base=None) -> Array:
-    """Squared distances to x_star along a batch of double-loop runs.
+@dataclass(frozen=True)
+class _DlGndBatch:
+    lb_history: Array        # (m, N+1)
+    min_points: Array        # (m, N+1, d)
+    min_values: Array        # (m, N+1)
+    dist2: Optional[Array]   # (m, T1 + N*T2 + 1), when x_star is given
 
-    Column t of the result is the iterate after t gradient steps; outer-loop
-    restarts jump to the running best point without consuming an iteration.
+
+def _run_dlgnd_batch(objective, oracle, x0, cfg, rngs, x_star=None,
+                     trial_base=None) -> _DlGndBatch:
+    """Run the double-loop scheme on a batch of trajectories, one rng stream per row.
+
+    Each row keeps its own lower bound f_lb.  When ``x_star`` is given,
+    column t of ``dist2`` is the squared distance of the iterate after t
+    gradient steps; outer-loop restarts jump to the running best point
+    without consuming an iteration.  A DivergedError names the iteration
+    within the whole run.
     """
-    m = x0.shape[0]
+    m, d = x0.shape
     rows = np.arange(m)
-    total = cfg.total_iterations
-    dist2 = np.empty((m, total + 1))
+    lb = np.empty((m, cfg.N + 1))
+    mins = np.empty((m, cfg.N + 1, d))
+    min_vals = np.empty((m, cfg.N + 1))
+    dist2 = np.empty((m, cfg.total_iterations + 1)) if x_star is not None else None
 
-    stage = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T1)
-    res = _run_gnd_batch(objective, oracle, x0, stage, rngs, x_star=x_star,
-                         record_points=True, trial_base=trial_base)
-    dist2[:, : cfg.T1 + 1] = res.dist2
-    x_min = res.points[rows, res.t_star]
-    v_min = res.values[rows, res.t_star]
+    first = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T1)
+    inner = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T2)
     f_lb = np.full(m, float(cfg.f_lb0))
-
-    col = cfg.T1 + 1
-    inner = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=0.0, T=cfg.T2)
-    for _ in range(cfg.N):
-        f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
-        res = _run_gnd_batch(objective, oracle, x_min, inner, rngs, f_lb=f_lb,
-                             x_star=x_star, record_points=True, trial_base=trial_base)
-        dist2[:, col : col + cfg.T2] = res.dist2[:, 1:]
+    x_min, offset = x0, 0
+    for nu in range(cfg.N + 1):
+        if nu:
+            f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * min_vals[:, nu - 1]
+        stage = inner if nu else first
+        try:
+            res = _run_gnd_batch(objective, oracle, x_min, stage, rngs, f_lb=f_lb,
+                                 x_star=x_star, record_points=True, trial_base=trial_base)
+        except DivergedError as err:
+            raise DivergedError(err.iteration + offset, err.trial, err.quantity) from None
+        if dist2 is not None:
+            skip = int(nu > 0)  # a restart's first point is the previous best point
+            dist2[:, offset + skip : offset + stage.T + 1] = res.dist2[:, skip:]
         x_min = res.points[rows, res.t_star]
-        v_min = res.values[rows, res.t_star]
-        col += cfg.T2
-    return dist2
+        lb[:, nu], mins[:, nu], min_vals[:, nu] = f_lb, x_min, res.values[rows, res.t_star]
+        offset += stage.T
+
+    return _DlGndBatch(lb_history=lb, min_points=mins, min_values=min_vals, dist2=dist2)

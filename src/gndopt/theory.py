@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from gndopt.errors import ConstraintNotCheckableError, GateViolationError, ParameterError
+from gndopt.errors import (ConstraintNotCheckableError, GateViolationError, ParameterError,
+                           require_finite)
 from gndopt.objectives import Objective
 
 Array = np.ndarray
@@ -102,6 +103,7 @@ def gnd_schedule(alpha: float, L: float, r: float, f_gap: float) -> Schedule:
     ``f_gap = f* - f_lb >= 0`` is the lower-bound slack the run will operate
     with; together with the oracle deviation r it determines b.
     """
+    require_finite(alpha=alpha, L=L, r=r, f_gap=f_gap)
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if L < alpha:
@@ -147,6 +149,8 @@ def dlgnd_schedule(alpha: float, L: float, r: float, eps: float, zeta: float,
     ``f_gap0 = f* - f_lb^0 > 0`` is the initial lower-bound slack and ``beta``
     the (upper-bounded) surrogate deviation, which must stay below alpha.
     """
+    require_finite(alpha=alpha, L=L, r=r, eps=eps, zeta=zeta, f_gap0=f_gap0,
+                   y0_dist_sq=y0_dist_sq, beta=beta)
     if beta < 0:
         raise ParameterError(f"beta must be nonnegative, got {beta}")
     if beta >= alpha:
@@ -359,6 +363,7 @@ def stopping_time_bound(theta: float, b: float, ell: float, M: int, B: float) ->
     theta in (0, 1) and almost-sure floor -b; B is E[X_0 * 1{X_0 >= ell}].
     The bound may be negative, in which case it is vacuous.
     """
+    require_finite(b=b, ell=ell, B=B)
     if not (0.0 < theta < 1.0):
         raise ParameterError(f"theta must lie in (0, 1), got {theta}")
     if not b > 0:

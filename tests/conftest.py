@@ -1,13 +1,17 @@
-"""Shared test oracles: adaptive quadrature and finite-difference gradients.
+"""Shared test oracles: adaptive quadrature, finite-difference gradients and a
+sequential double loop.
 
 These stay deliberately independent of the package's evaluation paths: the
-quadrature oracle integrates the defining integrand directly, and the
-finite-difference oracle never touches an analytic gradient.
+quadrature oracle integrates the defining integrand directly, the
+finite-difference oracle never touches an analytic gradient, and the double
+loop chains single GND runs instead of using the batched implementation.
 """
 
 import math
 
 import numpy as np
+
+from gndopt import GndConfig, gnd_run
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):
@@ -73,3 +77,25 @@ def central_difference_gradient(value_fn, x, scale=1e-6):
         xm[i] -= h
         g[i] = (float(value_fn(xp)) - float(value_fn(xm))) / (2.0 * h)
     return g
+
+
+def sequential_dlgnd(objective, oracle, x0, cfg, rng):
+    """The double-loop scheme as chained ``gnd_run`` calls on one stream.
+
+    Returns ``(lb_history, min_points, min_values, stages)``, where ``stages``
+    holds the GND trajectory of stage one and of each outer loop.
+    """
+    f_lb = float(cfg.f_lb0)
+    x_min = x0
+    lb, mins, vals, stages = [], [], [], []
+    for nu in range(cfg.N + 1):
+        if nu > 0:
+            f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * vals[-1]
+        stage = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=f_lb, T=cfg.T2 if nu else cfg.T1)
+        traj = gnd_run(objective, oracle, x_min, stage, rng)
+        x_min = traj.best_point()
+        lb.append(f_lb)
+        mins.append(x_min)
+        vals.append(traj.best_value())
+        stages.append(traj)
+    return np.array(lb), np.array(mins), np.array(vals), stages

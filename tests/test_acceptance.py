@@ -13,12 +13,13 @@ import pytest
 from conftest import central_difference_gradient, j1_value_quadrature
 
 from gndopt import (ExperimentConfig, GndConfig, DlGndConfig, RngStream, SgOracle,
-                    compute_nk, contraction_check, dlgnd_run, dlgnd_schedule,
+                    compute_nk, contraction_check, dlgnd_schedule,
                     gnd_schedule, j2_condition_table, make_j1, make_j2,
                     make_quadratic, make_rastrigin,
                     regularity_constants_grid, run_monte_carlo,
                     stopping_time_check, symmetric_log_grid)
 from gndopt.cli import main as cli_main
+from gndopt.solver import _run_dlgnd_batch
 
 
 def report(cid, label, ok):
@@ -159,12 +160,12 @@ def test_criterion_07_double_loop_lower_bound():
     rast = make_rastrigin(1.0, 1.0, 0.01, 2)
     oracle = SgOracle(rast, 0.0)
     cfg = DlGndConfig(eta=1.5, s=3.0, f_lb0=f_lb0, gamma=gamma, N=n_outer, T1=100, T2=10)
+    # The 100 runs as one batch: row i is dlgnd_run on stream (2025, i), bit for bit.
+    rngs = [RngStream(2025, run) for run in range(100)]
+    x0 = np.array([-20.0 + 40.0 * rng.uniforms(2) for rng in rngs])
+    batch = _run_dlgnd_batch(rast, oracle, x0, cfg, rngs)
     runs_small, runs_incr, runs_noninc = 0, 0, 0
-    for run in range(100):
-        rng = RngStream(2025, run)
-        x0 = -20.0 + 40.0 * rng.uniforms(2)
-        trace = dlgnd_run(rast, oracle, x0, cfg, rng)
-        lb, mv = trace.lb_history, trace.min_values
+    for lb, mv in zip(batch.lb_history, batch.min_values):
         runs_small += abs(lb[-1]) <= 1e-2
         runs_incr += all(lb[i + 1] > lb[i] for i in range(len(lb) - 1) if mv[i] > lb[i])
         runs_noninc += bool(np.all(np.diff(mv) <= 0.0))

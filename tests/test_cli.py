@@ -38,6 +38,18 @@ class TestSchedule:
         assert code == 1
         assert err.strip()
 
+    @pytest.mark.parametrize("flags", [
+        ("--r", "nan"), ("--fgap", "nan"), ("--alpha", "inf"), ("--L", "inf"),
+        ("--eps", "nan", "--fgap0", "1"), ("--eps", "0.01", "--fgap0", "inf"),
+        ("--eps", "0.01", "--fgap0", "1", "--y0sq", "nan"),
+        ("--eps", "0.01", "--fgap0", "1", "--beta", "nan"),
+    ])
+    def test_non_finite_input_is_exit_1(self, capsys, flags):
+        code, out, err = run_cli(capsys, "schedule", "--alpha", "1", "--L", "1", *flags)
+        assert code == 1
+        assert "must be finite" in err
+        assert out == ""
+
     def test_csv_sidecar(self, capsys, tmp_path):
         target = tmp_path / "sched.csv"
         code, _, _ = run_cli(capsys, "schedule", "--alpha", "1", "--L", "1",
@@ -83,6 +95,17 @@ class TestStbound:
         assert code == 0
         pairs = dict(line.split("=") for line in out.strip().splitlines())
         assert float(pairs["empirical_p"]) >= float(pairs["analytic_bound"])
+
+    @pytest.mark.parametrize("flag,bad", [
+        ("--x0", "nan"), ("--x0", "inf"), ("--ell", "nan"), ("--ell", "inf"),
+        ("--r", "inf"), ("--alpha", "inf"),
+    ])
+    def test_non_finite_input_is_exit_1(self, capsys, flag, bad):
+        code, out, err = run_cli(capsys, "stbound", "--ell", "25", "--M", "5",
+                                 "--trials", "8", f"{flag}={bad}")
+        assert code == 1
+        assert "must be finite" in err
+        assert out == ""
 
 
 class TestRun:
@@ -202,10 +225,16 @@ class TestBench:
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+
+    import gndopt
+    # the child imports the same package as this test, installed or not
+    src = str(Path(gndopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "gndopt", "schedule",
                            "--alpha", "1", "--L", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "eta=0.4" in proc.stdout

@@ -1,11 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import sequential_dlgnd
 
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, StatsSeries,
-                    contraction_check, dlgnd_run, experiments, gnd_run, make_j1,
+                    contraction_check, experiments, gnd_run, make_j1,
                     make_quadratic, make_rastrigin, run_monte_carlo,
                     stopping_time_check, write_csv, write_svg)
 
@@ -100,14 +102,26 @@ class TestRunMonteCarlo:
         cfg = _cfg(j1, alg, trials=6)
         stats, dist2 = run_monte_carlo(cfg, keep_distances=True)
         assert len(stats.mse) == alg.total_iterations + 1 == 31
-        # reconstruct one trial from the single-run path: same stream, same box draw
+        # reconstruct one trial as chained single GND runs: same stream, same
+        # box draw; a restart's first point is the previous stage's best point
         rng = RngStream(cfg.seed, 3)
         x0 = -10.0 + 20.0 * rng.uniforms(1)
-        trace = dlgnd_run(j1, SgOracle(j1, 0.0), x0, alg, rng, keep_inner=True)
-        pieces = [np.sum((trace.inner_trajectories[0].points - j1.minimizer) ** 2, axis=-1)]
-        for traj in trace.inner_trajectories[1:]:
-            pieces.append(np.sum((traj.points[1:] - j1.minimizer) ** 2, axis=-1))
-        assert np.array_equal(np.concatenate(pieces), dist2[3])
+        _, _, _, stages = sequential_dlgnd(j1, SgOracle(j1, 0.0), x0, alg, rng)
+        pieces = [stages[0].points] + [traj.points[1:] for traj in stages[1:]]
+        assert np.array_equal(np.sum((np.concatenate(pieces) - j1.minimizer) ** 2, axis=-1),
+                              dist2[3])
+
+    def test_dlgnd_divergence_names_trial_and_iteration_of_the_run(self):
+        # Each trial doubles |x| per step and restarts outer loop 1 from its x0;
+        # trial 3 starts farthest out and fails first, at its half-step 17.
+        q = make_quadratic(1.0, 1)
+        alg = DlGndConfig(eta=3.0, s=0.0, f_lb0=-1.0, gamma=0.5, N=3, T1=5, T2=30)
+        cfg = _cfg(q, alg, trials=4, init_low=1.0, init_high=10.0, seed=1)
+        with pytest.raises(DivergedError) as err:
+            run_monte_carlo(cfg)
+        assert (err.value.trial, err.value.iteration, err.value.quantity) == (
+            3, 5 + 17, "half-step value")
+        assert str(err.value) == "trajectory diverged at trial 3, iteration 22 (half-step value)"
 
     def test_diverged_trial_aborts_with_indices(self):
         q = make_quadratic(1.0, 1)
@@ -216,6 +230,15 @@ class TestStoppingTimeCheck:
         q = make_quadratic(1.0, 1)
         with pytest.raises(ParameterError):
             stopping_time_check(q, r=0.0, ell=1.0, M=5, trials=5, x0=[5.0], seed=0)
+
+    @pytest.mark.parametrize("field,bad", [("x0", [math.nan]), ("x0", [math.inf]),
+                                           ("ell", math.nan), ("ell", math.inf),
+                                           ("r", math.inf)])
+    def test_non_finite_inputs_rejected(self, field, bad):
+        params = dict(r=1.0, ell=1.0, M=5, trials=5, x0=[5.0], seed=0)
+        params[field] = bad
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            stopping_time_check(make_quadratic(1.0, 1), **params)
 
 
 class TestCsvOutput:

@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import sequential_dlgnd
 from hypothesis import strategies as st
 
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, dlgnd_run, gd_run, gnd_run,
                     j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
                     run_monte_carlo, sigma_of, solver)
-from gndopt.solver import GUARD_LIMIT, _run_gnd_batch
+from gndopt.solver import GUARD_LIMIT, _run_dlgnd_batch, _run_gnd_batch
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,8 +88,8 @@ class TestGndRun:
 
     def test_record_y_shadow_iterates(self):
         q = make_quadratic(1.0, 1)
-        cfg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=10, record_y=True)
-        traj = gnd_run(q, SgOracle(q, 0.0), [5.0], cfg, RngStream(8, 0))
+        cfg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=10)
+        traj = gnd_run(q, SgOracle(q, 0.0), [5.0], cfg, RngStream(8, 0), record_y=True)
         expected = traj.points - cfg.eta * np.array([q.gradient(p) for p in traj.points])
         assert np.array_equal(traj.y_points, expected)
         assert traj.y_points[0, 0] == 3.0  # 5 - 0.4*5
@@ -146,13 +147,13 @@ class TestEnsembleKernel:
     def test_rows_match_single_runs_bitwise(self):
         j1 = make_j1(7, 1)
         oracle = SgOracle(j1, 0.5)
-        cfg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=30, record_y=True)
+        cfg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=30)
         x0s = np.array([[8.0], [-4.0], [2.5], [0.1]])
         rngs = [RngStream(21, i) for i in range(4)]
         res = _run_gnd_batch(j1, oracle, x0s, cfg, rngs, record_points=True,
                              record_y=True, x_star=j1.minimizer)
         for i in range(4):
-            single = gnd_run(j1, oracle, x0s[i], cfg, RngStream(21, i))
+            single = gnd_run(j1, oracle, x0s[i], cfg, RngStream(21, i), record_y=True)
             assert np.array_equal(res.points[i], single.points)
             assert np.array_equal(res.values[i], single.values)
             assert np.array_equal(res.sigmas[i], single.sigmas)
@@ -327,17 +328,20 @@ class TestDlGnd:
             if trace.min_values[nu] >= trace.lb_history[nu]:
                 assert trace.lb_history[nu] <= trace.lb_history[nu + 1] <= trace.min_values[nu]
 
-    def test_trace_shapes_and_inner_recording(self):
+    def test_trace_shapes_and_restarts_from_best_point(self):
         q = make_quadratic(1.0, 2)
+        oracle = SgOracle(q, 0.0)
         cfg = DlGndConfig(eta=0.4, s=0.5, f_lb0=-1.0, gamma=0.5, N=4, T1=6, T2=2)
-        trace = dlgnd_run(q, SgOracle(q, 0.0), [3.0, -2.0], cfg, RngStream(1, 0), keep_inner=True)
-        assert trace.lb_history.shape == (5,)
+        trace = dlgnd_run(q, oracle, [3.0, -2.0], cfg, RngStream(1, 0))
+        assert trace.lb_history.shape == trace.min_values.shape == (5,)
         assert trace.min_points.shape == (5, 2)
-        assert len(trace.inner_trajectories) == 5
-        assert trace.inner_trajectories[0].points.shape == (7, 2)
-        assert trace.inner_trajectories[1].points.shape == (3, 2)
-        # each inner run starts from the previous best point
-        assert np.array_equal(trace.inner_trajectories[1].points[0], trace.min_points[0])
+        # the chained single runs restart each stage from the previous best point
+        _, mins, _, stages = sequential_dlgnd(q, oracle, np.array([3.0, -2.0]), cfg,
+                                              RngStream(1, 0))
+        assert [traj.points.shape for traj in stages] == [(7, 2)] + [(3, 2)] * 4
+        for nu in range(1, 5):
+            assert np.array_equal(stages[nu].points[0], trace.min_points[nu - 1])
+        assert np.array_equal(trace.min_points, mins)
 
     def test_determinism(self):
         j1 = make_j1(7, 1)
@@ -360,6 +364,82 @@ class TestDlGnd:
         params[field] = bad
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             DlGndConfig(**params)
+
+
+class TestDlGndBatch:
+    """The batched double loop against the sequential scheme and single-row runs."""
+
+    CRITERION_7 = DlGndConfig(eta=1.5, s=3.0, f_lb0=-20.0, gamma=0.03, N=40, T1=100, T2=10)
+
+    @staticmethod
+    def _assert_rows_equal_reference(objective, oracle, cfg, seed, x0s):
+        rngs = [RngStream(seed, i) for i in range(len(x0s))]
+        batch = _run_dlgnd_batch(objective, oracle, x0s, cfg, rngs)
+        for i, x0 in enumerate(x0s):
+            lb, mins, vals, _ = sequential_dlgnd(objective, oracle, x0, cfg, RngStream(seed, i))
+            assert np.array_equal(batch.lb_history[i], lb)
+            assert np.array_equal(batch.min_points[i], mins)
+            assert np.array_equal(batch.min_values[i], vals)
+        assert batch.dist2 is None
+
+    def test_criterion_7_streams_equal_sequential_reference(self):
+        rast = make_rastrigin(1.0, 1.0, 0.01, 2)
+        x0s = np.array([-20.0 + 40.0 * RngStream(2025, i).uniforms(2) for i in range(10)])
+        self._assert_rows_equal_reference(rast, SgOracle(rast, 0.0), self.CRITERION_7, 2025, x0s)
+
+    def test_noisy_quadratic_equals_sequential_reference(self):
+        q = make_quadratic(1.0, 2)
+        cfg = DlGndConfig(eta=0.4, s=0.5, f_lb0=-3.0, gamma=0.2, N=12, T1=8, T2=4)
+        x0s = np.array([[3.0, -2.0], [-1.0, 4.0], [0.5, 0.5], [6.0, 1.0]])
+        self._assert_rows_equal_reference(q, SgOracle(q, 0.7), cfg, 31, x0s)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 5), r=st.sampled_from([0.0, 0.5]),
+           eta=st.floats(0.1, 1.5), s=st.floats(0.0, 3.0), f_lb0=st.floats(-20.0, 0.0),
+           gamma=st.floats(0.01, 0.9), N=st.integers(1, 5), T1=st.integers(1, 8),
+           T2=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_batch_rows_equal_single_runs(self, data, m, r, eta, s, f_lb0, gamma, N, T1, T2,
+                                          seed):
+        # Rows start apart, so their lower bounds differ: a row reading another
+        # row's f_lb would change its noise and its trace.
+        rast = make_rastrigin(1.0, 1.0, 0.01, 2)
+        oracle = SgOracle(rast, r)
+        cfg = DlGndConfig(eta=eta, s=s, f_lb0=f_lb0, gamma=gamma, N=N, T1=T1, T2=T2)
+        x0s = np.array(data.draw(st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+                                          min_size=m, max_size=m)))
+        batch = _run_dlgnd_batch(rast, oracle, x0s, cfg, [RngStream(seed, i) for i in range(m)],
+                                 x_star=rast.minimizer)
+        assert batch.dist2.shape == (m, cfg.total_iterations + 1)
+        for i in range(m):
+            trace = dlgnd_run(rast, oracle, x0s[i], cfg, RngStream(seed, i))
+            assert np.array_equal(batch.lb_history[i], trace.lb_history)
+            assert np.array_equal(batch.min_points[i], trace.min_points)
+            assert np.array_equal(batch.min_values[i], trace.min_values)
+            single = _run_dlgnd_batch(rast, oracle, x0s[i : i + 1], cfg, [RngStream(seed, i)],
+                                      x_star=rast.minimizer)
+            assert np.array_equal(batch.dist2[i], single.dist2[0])
+
+    def test_divergence_names_iteration_of_the_whole_run(self):
+        # |1 - eta| = 2: every stage doubles |x|, so the best point stays x0 and
+        # outer loop 1 restarts there; its half-step 17 is run iteration 5 + 17.
+        q = make_quadratic(1.0, 1)
+        cfg = DlGndConfig(eta=3.0, s=0.0, f_lb0=-1.0, gamma=0.5, N=3, T1=5, T2=30)
+        with pytest.raises(DivergedError) as err:
+            dlgnd_run(q, SgOracle(q, 0.0), [10.0], cfg, RngStream(0, 0))
+        assert (err.value.trial, err.value.iteration, err.value.quantity) == (
+            None, 22, "half-step value")
+
+    @pytest.mark.parametrize("call", [0, 5, 6, 6 + 3 + 2, 6 + 4 * 3 - 1])
+    def test_divergence_iteration_in_every_stage(self, call):
+        # One gradient evaluation per iteration, stages in order: gradient call
+        # k is grad f(x_k) of the whole run, whichever stage it falls in.
+        q = _poisoned(make_quadratic(1.0, 2), "gradient", call, [np.nan, 0.0])
+        cfg = DlGndConfig(eta=0.1, s=0.5, f_lb0=-1.0, gamma=0.5, N=4, T1=6, T2=3)
+        rngs = [RngStream(0, i) for i in range(5)]
+        with pytest.raises(DivergedError) as err:
+            _run_dlgnd_batch(q, SgOracle(q, 0.3), np.full((5, 2), 2.0), cfg, rngs,
+                             x_star=q.minimizer, trial_base=40)
+        assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, call, "gradient")
 
 
 class TestGndConfig:

@@ -32,6 +32,14 @@ class TestGndSchedule:
         with pytest.raises(ParameterError):
             gnd_schedule(1.0, 0.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "L", "r", "f_gap"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, field, bad):
+        params = dict(alpha=1.0, L=1.0, r=0.0, f_gap=0.0)
+        params[field] = bad
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            gnd_schedule(**params)
+
     @settings(max_examples=100, deadline=None)
     @given(alpha=st.floats(1e-3, 10.0), ratio=st.floats(1.0, 50.0))
     def test_identities(self, alpha, ratio):
@@ -88,6 +96,16 @@ class TestDoubleLoopSchedule:
         with pytest.raises(GateViolationError):
             dlgnd_schedule(1.0, 1.0, 0.0, eps=0.01, zeta=0.05, f_gap0=1.0,
                            y0_dist_sq=1.0, beta=1.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "L", "r", "eps", "zeta", "f_gap0",
+                                       "y0_dist_sq", "beta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, field, bad):
+        params = dict(alpha=1.0, L=1.0, r=0.0, eps=0.01, zeta=0.05, f_gap0=1.0,
+                      y0_dist_sq=100.0, beta=0.0)
+        params[field] = bad
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            dlgnd_schedule(**params)
 
 
 class TestEtaConstraint:
@@ -268,6 +286,14 @@ class TestStoppingTimeBound:
         val = stopping_time_bound(0.95, 1.0, 1.0, 50, 5.0)
         assert val == pytest.approx(1.0 - 0.975**50 * 5.0, rel=1e-12)
         assert val < 0.0
+
+    @pytest.mark.parametrize("field", ["b", "ell", "B"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, field, bad):
+        params = dict(theta=0.5, b=1.0, ell=2.0, M=3, B=5.0)
+        params[field] = bad
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            stopping_time_bound(**params)
 
     def test_informative_case(self):
         val = stopping_time_bound(0.9, 1.0, 1.0, 100, 5.0)
