@@ -25,9 +25,9 @@ from gndopt.theory import (ball_shell_grid, dlgnd_schedule, gnd_schedule,
                            j2_condition_table, regularity_constants_grid,
                            symmetric_log_grid)
 
-# Desk-scale presets: objective parameters and per-algorithm defaults.  Every
-# value can be overridden by a flag; the effective configuration is echoed
-# into a ".config" sidecar next to the outputs.
+# Desk-scale presets: objective parameters and per-algorithm defaults.  `bench`
+# overrides them with flags and `run` overrides j1-7-1 with a config file; bench
+# echoes the effective configuration into a ".config" sidecar next to its outputs.
 BENCH_PRESETS = {
     "j1-7-1": dict(
         objective=dict(function="j1", n=7, k=1),
@@ -188,64 +188,93 @@ def _cmd_stbound(args) -> int:
     return 0
 
 
-def _parse_config_file(path: Path) -> dict:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+# The config schema: each section's keys and their types, in sidecar order.  An
+# [algorithm] section holds "algorithm" plus the keys of that algorithm; T may
+# stand in [experiment] instead.  Defaults come from BENCH_PRESETS via _preset.
+_SCHEMA = {
+    "objective": dict(function=str, n=int, k=int, eps=float, R=float, alpha=float,
+                      a=float, b=float, c=float, dim=int),
+    "gnd": dict(eta=float, s=float, f_lb=float, T=int),
+    "gd": dict(eta=float, T=int),
+    "dlgnd": dict(eta=float, s=float, f_lb0=float, gamma=float, N=int, T1=int, T2=int),
+    "experiment": dict(trials=int, seed=int, threshold=float, workers=int, init_low=float,
+                       init_high=float, sg_noise_r=float, name=str, T=int),
+}
+
+
+def _preset(name: str, algo: str) -> dict:
+    """The config sections of bench preset ``name`` run with ``algo``."""
+    if algo not in ("gnd", "dlgnd", "gd"):
+        raise ParameterError(f"unknown algorithm {algo!r}; valid: gnd, dlgnd, gd")
+    preset = BENCH_PRESETS[name]
+    values = {**preset["dlgnd" if algo == "dlgnd" else "gnd"], "T": preset["T"]}
+    low, high = preset["box"]
+    return {"objective": dict(preset["objective"]),
+            "algorithm": {"algorithm": algo, **{key: values[key] for key in _SCHEMA[algo]}},
+            "experiment": dict(trials=preset["trials"], seed=0, threshold=1e-3, workers=1,
+                               init_low=low, init_high=high, sg_noise_r=0.0)}
+
+
+def _read_config(path: Path) -> dict:
+    """The j1-7-1 preset's sections with config file ``path`` applied, checked key by key.
+
+    The file's [objective] section is required and replaces the preset's whole.
+    """
+    # default_section=None: a [DEFAULT] section is an unknown section, not keys for all
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section=None)
     parser.optionxform = str  # keys are case-sensitive (R vs r)
     try:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read config: {path}") from exc
-    parser.read_string(text)
-    out = {}
-    for section in parser.sections():
-        out[section] = {k: v.strip().strip('"').strip("'") for k, v in parser[section].items()}
-    return out
-
-
-def _build_algorithm(section: dict, default_t: int):
-    kind = section.get("algorithm", "gnd")
-    f = lambda key, dv: float(section.get(key, dv))
-    i = lambda key, dv: int(section.get(key, dv))
-    if kind == "gnd":
-        return GndConfig(eta=f("eta", 0.4), s=f("s", 0.5), f_lb=f("f_lb", 0.0),
-                         T=i("T", default_t))
-    if kind == "gd":
-        return GndConfig(eta=f("eta", 0.4), s=0.0, f_lb=0.0, T=i("T", default_t))
-    if kind == "dlgnd":
-        return DlGndConfig(eta=f("eta", 0.4), s=f("s", 0.5), f_lb0=f("f_lb0", -1.0),
-                           gamma=f("gamma", 0.5), N=i("N", 30), T1=i("T1", 40),
-                           T2=i("T2", 10))
-    raise ParameterError(f"unknown algorithm {kind!r}; valid: gnd, dlgnd, gd")
-
-
-_OBJECTIVE_KEY_TYPES = {"n": int, "k": int, "dim": int, "eps": float, "R": float,
-                        "a": float, "b": float, "c": float, "alpha": float}
-
-
-def _objective_from_section(section: dict):
-    if "function" not in section:
+    try:
+        parser.read_string(text, source=str(path))
+        given = {section: {k: v.strip().strip('"').strip("'") for k, v in parser[section].items()}
+                 for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ParameterError(f"malformed config {path}: {str(exc).splitlines()[0]}") from None
+    for section in given:
+        if section not in ("objective", "algorithm", "experiment"):
+            raise ParameterError(f"unknown config section [{section}]; "
+                                 "valid sections: objective, algorithm, experiment")
+    alg, exp = given.setdefault("algorithm", {}), given.get("experiment", {})
+    if "T" in exp:
+        if "T" in alg:
+            raise ParameterError("T is set in both [experiment] and [algorithm]; set it once")
+        alg["T"] = exp.pop("T")
+    if "objective" not in given:
+        raise ParameterError("config must have an [objective] section")
+    kind = alg.get("algorithm", "gnd")
+    sections = _preset("j1-7-1", kind)
+    sections["objective"] = {}
+    for section, values in given.items():
+        types = {"algorithm": str, **_SCHEMA[kind]} if section == "algorithm" else _SCHEMA[section]
+        for key, raw in values.items():
+            if key not in types:
+                where = f"[algorithm] of {kind}" if section == "algorithm" else f"[{section}]"
+                raise ParameterError(f"unknown key {key!r} in {where}; valid keys: "
+                                     f"{', '.join(types)}")
+            try:
+                sections[section][key] = types[key](raw)
+            except ValueError:
+                raise ParameterError(f"[{section}] {key} = {raw!r} is not a valid "
+                                     f"{types[key].__name__}") from None
+    if "function" not in sections["objective"]:
         raise ParameterError("config section [objective] needs a 'function' key")
-    params = {}
-    for key, raw in section.items():
-        if key == "function":
-            continue
-        if key not in _OBJECTIVE_KEY_TYPES:
-            raise ParameterError(f"unknown objective key {key!r}")
-        params[key] = _OBJECTIVE_KEY_TYPES[key](raw)
-    return make_objective(section["function"], **params)
+    return sections
 
 
-def _run_experiment(args, objective, algorithm, exp: dict, name: str) -> int:
-    cfg = ExperimentConfig(
-        objective=objective, algorithm=algorithm,
-        sg_noise_r=float(exp.get("sg_noise_r", 0.0)),
-        trials=int(exp.get("trials", 2000)),
-        init_low=float(exp.get("init_low", -10.0)),
-        init_high=float(exp.get("init_high", 10.0)),
-        seed=int(exp.get("seed", 0)),
-        threshold=float(exp.get("threshold", 1e-3)),
-        workers=int(exp.get("workers", 1)),
-    )
+def _run_experiment(args, sections: dict, name: str) -> int:
+    objective = make_objective(**sections["objective"])
+    alg = dict(sections["algorithm"])
+    kind = alg.pop("algorithm")
+    algorithm = (DlGndConfig(**alg) if kind == "dlgnd"
+                 else GndConfig(**{"s": 0.0, "f_lb": 0.0, **alg}))
+    exp = dict(sections["experiment"])
+    workers = exp.pop("workers")  # recorded in the sidecar; runs are single-threaded
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+    cfg = ExperimentConfig(objective=objective, algorithm=algorithm, **exp)
     _progress(args, f"running {name}: trials={cfg.trials} iterations={cfg.total_iterations}")
     stats = run_monte_carlo(cfg)
     out_dir = Path(args.out)
@@ -258,65 +287,27 @@ def _run_experiment(args, objective, algorithm, exp: dict, name: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    sections = _parse_config_file(Path(args.config))
-    exp = sections.get("experiment", {})
-    if "objective" not in sections:
-        raise ParameterError("config must have an [objective] section")
-    objective = _objective_from_section(sections["objective"])
-    alg_section = dict(sections.get("algorithm", {}))
-    if "T" in exp and "T" not in alg_section:
-        alg_section["T"] = exp["T"]
-    algorithm = _build_algorithm(alg_section, default_t=300)
-    name = exp.get("name", Path(args.config).stem)
-    return _run_experiment(args, objective, algorithm, exp, name)
+    sections = _read_config(Path(args.config))
+    name = sections["experiment"].pop("name", Path(args.config).stem)
+    return _run_experiment(args, sections, name)
 
 
 def _cmd_bench(args) -> int:
     if args.name not in BENCH_PRESETS:
         raise ParameterError(
             f"unknown bench name {args.name!r}; valid names: {', '.join(sorted(BENCH_PRESETS))}")
-    preset = BENCH_PRESETS[args.name]
-    objective = make_objective(**preset["objective"])
-    t_total = args.T if args.T is not None else preset["T"]
-    algo = args.algo
-    if algo == "gnd":
-        p = preset["gnd"]
-        algorithm = GndConfig(eta=_ov(args.eta, p["eta"]), s=_ov(args.s, p["s"]),
-                              f_lb=_ov(args.f_lb, p["f_lb"]), T=t_total)
-    elif algo == "gd":
-        p = preset["gnd"]
-        algorithm = GndConfig(eta=_ov(args.eta, p["eta"]), s=0.0, f_lb=0.0, T=t_total)
-    else:
-        p = preset["dlgnd"]
-        n_outer = args.N if args.N is not None else p["N"]
-        algorithm = DlGndConfig(eta=_ov(args.eta, p["eta"]), s=_ov(args.s, p["s"]),
-                                f_lb0=_ov(args.f_lb0, p["f_lb0"]),
-                                gamma=_ov(args.gamma, p["gamma"]),
-                                N=n_outer, T1=p["T1"], T2=p["T2"])
-    low, high = preset["box"]
-    exp = dict(trials=str(args.trials if args.trials is not None else preset["trials"]),
-               seed=str(args.seed), threshold=str(args.threshold),
-               workers=str(args.workers), init_low=str(low), init_high=str(high),
-               sg_noise_r=str(args.r))
-    name = f"{args.name}-{algo}"
-    code = _run_experiment(args, objective, algorithm, exp, name)
-    sidecar = Path(args.out) / f"{name}.config"
-    with open(sidecar, "w", newline="") as fh:
-        fh.write("[objective]\n")
-        for key, val in preset["objective"].items():
-            fh.write(f"{key} = {val}\n")
-        fh.write("\n[algorithm]\n")
-        fh.write(f"algorithm = {algo}\n")
-        for key, val in vars(algorithm).items():
-            fh.write(f"{key} = {val}\n")
-        fh.write("\n[experiment]\n")
-        for key, val in exp.items():
-            fh.write(f"{key} = {val}\n")
+    sections = _preset(args.name, args.algo)
+    # flags the chosen algorithm does not read (--N for gnd, --T for dlgnd) are ignored
+    for values in (sections["algorithm"], sections["experiment"]):
+        values.update((key, val) for key, val in vars(args).items()
+                      if key in values and val is not None)
+    name = f"{args.name}-{args.algo}"
+    code = _run_experiment(args, sections, name)
+    with open(Path(args.out) / f"{name}.config", "w", newline="") as fh:
+        fh.write("\n".join(f"[{section}]\n" + "".join(f"{key} = {val}\n"
+                                                      for key, val in values.items())
+                           for section, values in sections.items()))
     return code
-
-
-def _ov(override, default):
-    return default if override is None else override
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-lb", dest="f_lb", type=float, default=None)
     p.add_argument("--f-lb0", dest="f_lb0", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--r", dest="sg_noise_r", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
                    help="accepted for compatibility and recorded in the sidecar; runs are "
                         "single-threaded")
-    p.add_argument("--threshold", type=float, default=1e-3)
+    p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--out", default="out")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=_cmd_bench)

@@ -46,7 +46,6 @@ class ExperimentConfig:
     init_high: float | Array
     seed: int
     threshold: float = 1e-3
-    workers: int = 1  # accepted for config compatibility; runs are single-threaded
 
     def __post_init__(self):
         if self.trials < 1:
@@ -56,8 +55,6 @@ class ExperimentConfig:
             raise ParameterError(f"sg_noise_r must be nonnegative, got {self.sg_noise_r}")
         if not self.threshold > 0:
             raise ParameterError(f"threshold must be positive, got {self.threshold}")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be at least 1, got {self.workers}")
         d = self.objective.dim
         low = np.broadcast_to(np.asarray(self.init_low, dtype=np.float64), (d,))
         high = np.broadcast_to(np.asarray(self.init_high, dtype=np.float64), (d,))

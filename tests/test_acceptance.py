@@ -110,7 +110,7 @@ def test_criterion_05_gnd_escapes_gd_trapped():
     start = time.time()
     j1 = make_j1(7, 1)
     common = dict(objective=j1, sg_noise_r=0.0, trials=2000, init_low=-10.0,
-                  init_high=10.0, seed=7, workers=1)
+                  init_high=10.0, seed=7)
     gnd = run_monte_carlo(ExperimentConfig(
         algorithm=GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=300), **common))
     gd = run_monte_carlo(ExperimentConfig(
@@ -131,7 +131,7 @@ def test_criterion_06_rastrigin_2d():
     rast = make_rastrigin(1.0, 1.0, 0.01, 2)
     stats = run_monte_carlo(ExperimentConfig(
         objective=rast, algorithm=GndConfig(eta=1.5, s=4.0, f_lb=0.0, T=5000),
-        sg_noise_r=0.0, trials=2000, init_low=-20.0, init_high=20.0, seed=11, workers=1))
+        sg_noise_r=0.0, trials=2000, init_low=-20.0, init_high=20.0, seed=11))
     elapsed = time.time() - start
     peak = float(stats.mse.max())
     final = float(stats.mse[-1])

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import re
+import string
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gndopt.cli import main
+from gndopt.cli import _SCHEMA, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -108,6 +115,9 @@ class TestStbound:
         assert out == ""
 
 
+_BASE = '[objective]\nfunction = "j1"\nn = 7\nk = 1\n\n[experiment]\ntrials = 4\n'
+
+
 class TestRun:
     def test_missing_config_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "run", "missing.toml")
@@ -146,6 +156,55 @@ class TestRun:
         assert code == 0, err
         assert len((out_dir / "example.csv").read_text().strip().splitlines()) == 1 + 13
 
+    def test_readme_lists_the_schema_keys(self):
+        listed = {}
+        for section, algo, keys in re.findall(
+                r"(?m)^- `\[(\w+)\]`(?: with `algorithm = (\w+)`)?: (.*)$", README.read_text()):
+            listed[algo or section] = re.findall(r"`(\w+)`", keys)
+        assert listed == {name: list(keys) for name, keys in _SCHEMA.items()}
+
+    @pytest.mark.parametrize("text,names", [
+        (_BASE + "[algorithm]\neat = 0.9\n", ["'eat'", "[algorithm]", "eta, s, f_lb, T"]),
+        (_BASE + "wokers = 4\n", ["'wokers'", "[experiment]", "workers"]),
+        (_BASE + "[extra]\nx = 1\n", ["[extra]", "objective, algorithm, experiment"]),
+        ("[DEFAULT]\ntrials = 4\n" + _BASE, ["[DEFAULT]", "objective, algorithm, experiment"]),
+        ("[experiment]\ntrials = 4\n", ["[objective]"]),
+        (_BASE + "[algorithm]\nalgorithm = gd\ns = 0.5\n", ["'s'", "[algorithm]", "eta, T"]),
+        (_BASE + "[algorithm]\nalgorithm = dlgnd\nT = 5\n", ["'T'", "[algorithm]", "T1, T2"]),
+        (_BASE + "T = 5\n[algorithm]\nalgorithm = dlgnd\n", ["'T'", "[algorithm]", "T1, T2"]),
+        (_BASE + "T = 5\n[algorithm]\nT = 5\n", ["[experiment]", "[algorithm]"]),
+        (_BASE.replace("trials = 4", "trials = 4.5"), ["[experiment] trials", "4.5"]),
+        (_BASE.replace("n = 7", "n = seven"), ["[objective] n", "seven"]),
+        (_BASE + "[algorithm]\neta = fast\n", ["[algorithm] eta", "fast"]),
+        (_BASE + "seed = 1\nseed = 2\n", ["malformed", "seed"]),
+        ("trials = 4\n", ["malformed", "section header"]),
+    ], ids=["typo-eta", "typo-workers", "unknown-section", "default-section", "no-objective",
+            "s-under-gd", "T-under-dlgnd", "T-in-experiment-with-dlgnd", "T-twice",
+            "float-trials", "word-n", "word-eta", "duplicate-key", "no-section-header"])
+    def test_bad_config_is_exit_1(self, capsys, tmp_path, text, names):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out", str(tmp_path), "--quiet")
+        assert code == 1
+        assert err.startswith("gndopt: ") and "Traceback" not in err
+        for name in names:
+            assert name in err
+        assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("algo", ["gnd", "dlgnd", "gd"])
+    def test_sidecar_reruns_the_bench(self, capsys, tmp_path, algo):
+        bench, rerun = tmp_path / "bench", tmp_path / "rerun"
+        code, _, _ = run_cli(capsys, "bench", "j1-7-1", "--algo", algo, "--trials", "12",
+                             "--T", "15", "--N", "2", "--seed", "5", "--r", "0.2",
+                             "--out", str(bench), "--quiet")
+        assert code == 0
+        code, _, err = run_cli(capsys, "run", str(bench / f"j1-7-1-{algo}.config"),
+                               "--out", str(rerun), "--quiet")
+        assert code == 0, err
+        for suffix in (".csv", ".svg"):
+            name = f"j1-7-1-{algo}{suffix}"
+            assert (rerun / name).read_bytes() == (bench / name).read_bytes()
+
     def test_bad_algorithm_is_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "exp.toml"
         cfg.write_text('[objective]\nfunction = "j1"\nn = 7\nk = 1\n\n'
@@ -169,9 +228,11 @@ class TestBench:
         assert code == 0
         assert (out / "j1-7-1-gnd.csv").exists()
         assert (out / "j1-7-1-gnd.svg").exists()
-        sidecar = (out / "j1-7-1-gnd.config").read_text()
-        assert "eta = 0.4" in sidecar
-        assert "trials = 16" in sidecar
+        assert (out / "j1-7-1-gnd.config").read_text() == (
+            "[objective]\nfunction = j1\nn = 7\nk = 1\n\n"
+            "[algorithm]\nalgorithm = gnd\neta = 0.4\ns = 0.5\nf_lb = 0.0\nT = 20\n\n"
+            "[experiment]\ntrials = 16\nseed = 3\nthreshold = 0.001\nworkers = 1\n"
+            "init_low = -10.0\ninit_high = 10.0\nsg_noise_r = 0.0\n")
 
     def test_repeat_identical_and_worker_invariant(self, capsys, tmp_path):
         outs = []
@@ -215,6 +276,12 @@ class TestBench:
         assert code == 0
         body = (out / "rast2d-c01-dlgnd.csv").read_text()
         assert len(body.strip().splitlines()) == 1 + 100 + 3 * 10 + 1
+        assert (out / "rast2d-c01-dlgnd.config").read_text() == (
+            "[objective]\nfunction = rastrigin\na = 1.0\nb = 1.0\nc = 0.01\ndim = 2\n\n"
+            "[algorithm]\nalgorithm = dlgnd\neta = 1.5\ns = 3.0\nf_lb0 = -20.0\n"
+            "gamma = 0.03\nN = 3\nT1 = 100\nT2 = 10\n\n"
+            "[experiment]\ntrials = 8\nseed = 0\nthreshold = 0.001\nworkers = 1\n"
+            "init_low = -20.0\ninit_high = 20.0\nsg_noise_r = 0.0\n")
 
     def test_gd_bench_runs(self, capsys, tmp_path):
         out = tmp_path / "out"
@@ -222,6 +289,87 @@ class TestBench:
                              "--trials", "8", "--T", "10", "--out", str(out), "--quiet")
         assert code == 0
         assert (out / "j1-7-1-gd.csv").exists()
+
+
+@st.composite
+def _accepted_configs(draw):
+    """Sections of a config the schema accepts, with trials <= 4 and at most 5 iterations."""
+    algo = draw(st.sampled_from(["gnd", "gd", "dlgnd"]))
+    objective = dict(draw(st.sampled_from([
+        dict(function="j1", n=7, k=1), dict(function="j2", eps=0.1, R=1.0),
+        dict(function="quadratic", alpha=1.0, dim=2),
+        dict(function="rastrigin", a=1.0, b=1.0, c=0.05, dim=2)])))
+    algorithm = dict(algorithm=algo, eta=draw(st.floats(0.01, 5.0)))
+    if algo != "gd":
+        algorithm["s"] = draw(st.floats(0.0, 5.0))
+    if algo == "gnd":
+        algorithm["f_lb"] = draw(st.floats(-10.0, 10.0))
+    if algo == "dlgnd":
+        algorithm.update(f_lb0=draw(st.floats(-20.0, 0.0)), gamma=draw(st.floats(0.01, 0.99)),
+                         N=draw(st.integers(1, 2)), T1=draw(st.integers(1, 3)), T2=1)
+    low = draw(st.floats(-20.0, 20.0))
+    experiment = dict(trials=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32)),
+                      threshold=draw(st.floats(1e-6, 10.0)), workers=draw(st.integers(1, 8)),
+                      init_low=low, init_high=low + draw(st.floats(0.0, 20.0)),
+                      sg_noise_r=draw(st.floats(0.0, 2.0)))
+    if algo != "dlgnd":
+        (experiment if draw(st.booleans()) else algorithm)["T"] = draw(st.integers(0, 5))
+    for key in draw(st.sets(st.sampled_from(["eta", "s", "f_lb", "f_lb0", "gamma", "seed",
+                                             "threshold", "workers", "sg_noise_r"]))):
+        algorithm.pop(key, None)  # the j1-7-1 default applies
+        experiment.pop(key, None)
+    return dict(objective=objective, algorithm=algorithm, experiment=experiment)
+
+
+def _run_config(sections):
+    text = "".join(f"[{name}]\n" + "".join(f"{key} = {val}\n" for key, val in values.items())
+                   for name, values in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.toml"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--out", tmp, "--quiet"])
+        csv = (Path(tmp) / "exp.csv").read_text() if code == 0 else None
+    return code, err.getvalue(), csv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_accepted_configs())
+def test_accepted_config_runs_finite_or_diverges(sections):
+    code, err, csv = _run_config(sections)
+    assert code in (0, 3), err
+    if code == 0:
+        table = np.loadtxt(csv.splitlines(), delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(table))
+
+
+def _parses(cast, raw):
+    try:
+        cast(raw)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(_accepted_configs(), st.data())
+def test_unknown_key_or_unparseable_value_is_exit_1(sections, data):
+    section = data.draw(st.sampled_from(sorted(sections)))
+    values = sections[section]
+    types = ({"algorithm": str, **_SCHEMA[values["algorithm"]]} if section == "algorithm"
+             else _SCHEMA[section])
+    numeric = [key for key in values if types[key] is not str]
+    if not numeric or data.draw(st.booleans()):
+        key = data.draw(st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,7}", fullmatch=True)
+                        .filter(lambda k: k not in types))
+    else:
+        key = data.draw(st.sampled_from(numeric))
+    values[key] = data.draw(st.text(string.ascii_letters + string.digits + ".,-", min_size=1,
+                                    max_size=8).filter(lambda v: not _parses(types.get(key, int), v)))
+    code, err, _ = _run_config(sections)
+    assert code == 1
+    assert err.startswith("gndopt: ") and key in err
 
 
 def test_module_entry_point():

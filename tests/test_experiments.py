@@ -14,7 +14,7 @@ from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
 
 def _cfg(objective, algorithm, **kw):
     base = dict(objective=objective, algorithm=algorithm, sg_noise_r=0.0,
-                trials=16, init_low=-10.0, init_high=10.0, seed=7, workers=1)
+                trials=16, init_low=-10.0, init_high=10.0, seed=7)
     base.update(kw)
     return ExperimentConfig(**base)
 
