@@ -289,6 +289,8 @@ def _run_experiment(args, sections: dict, name: str) -> int:
 def _cmd_run(args) -> int:
     sections = _read_config(Path(args.config))
     name = sections["experiment"].pop("name", Path(args.config).stem)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ParameterError(f"[experiment] name = {name!r} is not a plain file name")
     return _run_experiment(args, sections, name)
 
 
@@ -297,10 +299,14 @@ def _cmd_bench(args) -> int:
         raise ParameterError(
             f"unknown bench name {args.name!r}; valid names: {', '.join(sorted(BENCH_PRESETS))}")
     sections = _preset(args.name, args.algo)
-    # flags the chosen algorithm does not read (--N for gnd, --T for dlgnd) are ignored
+    flags = {key: val for key, val in vars(args).items() if val is not None}
+    unread = (_SCHEMA["gnd"].keys() | _SCHEMA["dlgnd"].keys()) - _SCHEMA[args.algo].keys()
+    for key in flags:
+        if key in unread:
+            raise ParameterError(f"--{key.replace('_', '-')} is not read by {args.algo}; "
+                                 f"its keys: {', '.join(_SCHEMA[args.algo])}")
     for values in (sections["algorithm"], sections["experiment"]):
-        values.update((key, val) for key, val in vars(args).items()
-                      if key in values and val is not None)
+        values.update((key, val) for key, val in flags.items() if key in values)
     name = f"{args.name}-{args.algo}"
     code = _run_experiment(args, sections, name)
     with open(Path(args.out) / f"{name}.config", "w", newline="") as fh:

@@ -3,13 +3,14 @@
 Determinism contract: trial i draws from stream ``(seed, i)``, consuming its d
 initial-point uniforms before any solver draws.  Trials run sequentially in
 row blocks of a fixed size, and each trial depends only on its own stream.
-Aggregation is a fold in trial order: each block's squared distances are
-added row by row into a running sum (and counted into a running miss count)
-and then dropped, so memory does not grow with the trial count.  Adding rows
-in trial order is exactly what ``mean(axis=0)`` over the full matrix does, so
-the output bytes do not depend on the row-block size.  Diverged trajectories
-abort the whole experiment (silently dropping them would bias the error
-statistics).
+Aggregation is a fold in trial order inside the kernel: after each step, the
+block's squared distances are added row by row into that iteration's running
+sum (and counted into its running miss count) and then dropped, so memory
+grows with neither the trial count nor, beyond those two sums, the iteration
+count.  Adding rows in trial order is exactly what ``mean(axis=0)`` over the
+full trials x (T+1) matrix would do, so the output bytes do not depend on the
+row-block size.  Diverged trajectories abort the whole experiment (silently
+dropping them would bias the error statistics).
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ import numpy as np
 from gndopt.errors import ParameterError, require_finite
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
-from gndopt.solver import DlGndConfig, GndConfig, _run_dlgnd_batch, _run_gnd_batch
+from gndopt.solver import DlGndConfig, GndConfig, _dlgnd_stages, _Fold, _run_gnd_batch
 from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
 
 Array = np.ndarray
 
 # Trials per kernel call: bounds the kernel's per-row working set (streams,
-# iterates, objective temporaries) and the per-block distance matrix at
-# _CHUNK x (T+1).  The noise buffer is bounded by bytes in the solver.
+# iterates, objective temporaries, one step's distances).  The noise buffer is
+# bounded by bytes in the solver.
 _CHUNK = 256
 
 
@@ -114,50 +115,37 @@ def _init_box(cfg: ExperimentConfig) -> tuple[Array, Array]:
     return low, high
 
 
-def _block_distances(cfg: ExperimentConfig, oracle: SgOracle, low: Array, span: Array,
-                     i0: int, i1: int) -> Array:
-    """Squared distances to the minimizer of trials i0..i1-1: row i - i0, column t."""
+def _fold_block(cfg: ExperimentConfig, oracle: SgOracle, low: Array, span: Array,
+                i0: int, i1: int, fold: _Fold) -> None:
+    """Run trials i0..i1-1 and fold their squared distances to the minimizer."""
     obj = cfg.objective
     rngs = [RngStream(cfg.seed, i) for i in range(i0, i1)]
     x0 = np.empty((i1 - i0, obj.dim))
     for row, rng in enumerate(rngs):
         x0[row] = low + span * rng.uniforms(obj.dim)
+    fold.add(0, x0)
     if isinstance(cfg.algorithm, GndConfig):
-        return _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, x_star=obj.minimizer,
-                              record_values=False, trial_base=i0).dist2
-    return _run_dlgnd_batch(obj, oracle, x0, cfg.algorithm, rngs, x_star=obj.minimizer,
-                            trial_base=i0).dist2
+        _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, fold=fold, record_values=False,
+                       trial_base=i0)
+    else:
+        for _ in _dlgnd_stages(obj, oracle, x0, cfg.algorithm, rngs, fold=fold, trial_base=i0):
+            pass  # the outer-loop trace is not part of the statistics
 
 
-def run_monte_carlo(cfg: ExperimentConfig, keep_distances: bool = False):
+def run_monte_carlo(cfg: ExperimentConfig) -> StatsSeries:
     """Run the configured algorithm over the trial ensemble and aggregate stats.
 
-    Returns a :class:`StatsSeries`; with ``keep_distances=True`` returns
-    ``(stats, dist2)`` where ``dist2[i, t]`` is trial i's squared distance to
-    the minimizer after t iterations.  Only then is the full trials x (T+1)
-    matrix held; otherwise one row block's distances are live at a time.
+    The kernel folds each step's squared distances into the running sums, so
+    no more than one iteration's distances of one row block are live at a time.
     """
     oracle = SgOracle(cfg.objective, cfg.sg_noise_r)
     low, high = _init_box(cfg)
-    span = high - low
-    width = cfg.total_iterations + 1
-    thr2 = cfg.threshold * cfg.threshold
-    total = np.zeros(width)
-    misses = np.zeros(width, dtype=np.intp)
-    dist2 = np.empty((cfg.trials, width)) if keep_distances else None
-
+    fold = _Fold(cfg.objective.minimizer, cfg.threshold * cfg.threshold,
+                 cfg.total_iterations + 1)
     for i0 in range(0, cfg.trials, _CHUNK):
-        i1 = min(i0 + _CHUNK, cfg.trials)
-        block = _block_distances(cfg, oracle, low, span, i0, i1)
-        for row in block:  # trial order, as mean(axis=0) adds rows
-            total += row
-        misses += np.count_nonzero(block > thr2, axis=0)
-        if dist2 is not None:
-            dist2[i0:i1] = block
-        del block, row  # so no two blocks are live during the next kernel call
-
-    stats = StatsSeries(mse=total / cfg.trials, ncp=misses / cfg.trials, trials=cfg.trials)
-    return (stats, dist2) if keep_distances else stats
+        _fold_block(cfg, oracle, low, high - low, i0, min(i0 + _CHUNK, cfg.trials), fold)
+    return StatsSeries(mse=fold.total / cfg.trials, ncp=fold.misses / cfg.trials,
+                       trials=cfg.trials)
 
 
 def _shadow_distance_ensemble(objective: Objective, r: float, x0, T: int,

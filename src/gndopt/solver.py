@@ -17,7 +17,8 @@ reuses the step gradient and only adds one extra gradient evaluation at x_T.
 
 All runners drive the same batched kernel, so a single trajectory is bitwise
 identical to the corresponding row of an ensemble run with the same stream.
-The double loop has one batched implementation, ``_run_dlgnd_batch``, with a
+An ensemble's statistics are folded inside the kernel, step by step (``_Fold``).
+The double loop has one batched implementation, ``_dlgnd_stages``, with a
 lower bound per row; ``dlgnd_run`` is its one-row case.  Its iterations are
 numbered across the whole run: outer loop nu >= 1 starts at T1 + (nu-1)*T2.
 """
@@ -118,7 +119,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class DlGndTrace:
-    """Outer-loop record of one double-loop run."""
+    """Outer-loop record of one double-loop run (of a batch: a leading row axis)."""
 
     lb_history: Array   # (N+1,) lower-bound estimates f_lb^0 .. f_lb^N
     min_points: Array   # (N+1, d) best points after stage one and each outer loop
@@ -161,24 +162,45 @@ def _check_gradients(g, t, base):
 
 
 class _BatchResult:
-    __slots__ = ("values", "sigmas", "half_values", "points", "ys", "dist2", "t_star")
+    __slots__ = ("values", "sigmas", "half_values", "points", "ys", "t_star")
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw.get(name))
 
 
-def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, x_star=None,
+class _Fold:
+    """Per-iteration sums of squared distances to x_star, and counts of those above thr2.
+
+    ``add(t, x)`` adds the rows of x into column t one at a time in row order,
+    as ``mean(axis=0)`` adds a matrix's rows, so row blocking cannot change a bit.
+    """
+
+    def __init__(self, x_star, thr2, width):
+        self.x_star, self.thr2 = x_star, thr2
+        self.total = np.zeros(width)
+        self.misses = np.zeros(width, dtype=np.intp)
+
+    def add(self, t, x):
+        diff = x - self.x_star
+        d2 = np.add.reduce(diff * diff, axis=-1)
+        self.misses[t] += np.count_nonzero(d2 > self.thr2)
+        acc = np.concatenate((self.total[t : t + 1], d2))
+        self.total[t] = np.add.accumulate(acc, out=acc)[-1]
+
+
+def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, col=0,
                    record_values=True, record_points=False, record_y=False,
                    trial_base=None) -> _BatchResult:
     """Run cfg.T GND iterations on a batch of trajectories, one rng stream per row.
 
     ``f_lb`` may be a scalar or a per-row vector (used by the double-loop
-    ensemble); it defaults to ``cfg.f_lb``.  When ``x_star`` is given, squared
-    distances to it are recorded per iteration.  With ``record_values=False``
-    the per-iteration ``values``, ``sigmas`` and ``half_values`` (and
-    ``t_star``) are not stored; every value is still evaluated and guarded, so
-    the iterates and the stream consumption do not change.  Raises
+    ensemble); it defaults to ``cfg.f_lb``.  A ``fold`` receives the iterate
+    after step t in column ``col + t + 1`` (x0 is not folded).  With
+    ``record_values=False`` the per-iteration ``values``, ``sigmas`` and
+    ``half_values`` (and ``t_star``) are not stored; every value is still
+    evaluated and guarded, so the iterates and the stream consumption do not
+    change.  Raises
     DivergedError as soon as any row produces a non-finite value/gradient or
     exceeds GUARD_LIMIT.
     """
@@ -203,7 +225,6 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, x_star=None,
     half_values = np.empty((m, T)) if record_values else None
     points = np.empty((m, T + 1, d)) if record_points else None
     ys = np.empty((m, T + 1, d)) if record_y else None
-    dist2 = np.empty((m, T + 1)) if x_star is not None else None
 
     v = objective.value(x)
     _check_values(v, 0, trial_base)
@@ -211,9 +232,6 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, x_star=None,
         values[:, 0] = v
     if record_points:
         points[:, 0] = x
-    if dist2 is not None:
-        diff = x - x_star
-        dist2[:, 0] = np.add.reduce(diff * diff, axis=-1)
 
     # Noise for up to `most` iterations, already divided by sqrt(d): one buffer
     # per call of at most _NOISE_BYTES (or of one iteration, if that is more),
@@ -254,9 +272,8 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, x_star=None,
             values[:, t + 1] = v
         if record_points:
             points[:, t + 1] = x
-        if dist2 is not None:
-            diff = x - x_star
-            dist2[:, t + 1] = np.add.reduce(diff * diff, axis=-1)
+        if fold is not None:
+            fold.add(col + t + 1, x)
 
     if record_y:
         g = objective.gradient(x)
@@ -266,7 +283,7 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, x_star=None,
     # argmin returns the first minimizing index
     t_star = np.argmin(values, axis=1) if record_values else None
     return _BatchResult(values=values, sigmas=sigmas, half_values=half_values,
-                        points=points, ys=ys, dist2=dist2, t_star=t_star)
+                        points=points, ys=ys, t_star=t_star)
 
 
 def _as_x0(objective, x0) -> Array:
@@ -313,49 +330,36 @@ def dlgnd_run(objective: Objective, oracle: SgOracle, x0, cfg: DlGndConfig,
                       min_values=res.min_values[0])
 
 
-@dataclass(frozen=True)
-class _DlGndBatch:
-    lb_history: Array        # (m, N+1)
-    min_points: Array        # (m, N+1, d)
-    min_values: Array        # (m, N+1)
-    dist2: Optional[Array]   # (m, T1 + N*T2 + 1), when x_star is given
-
-
-def _run_dlgnd_batch(objective, oracle, x0, cfg, rngs, x_star=None,
-                     trial_base=None) -> _DlGndBatch:
+def _dlgnd_stages(objective, oracle, x0, cfg, rngs, fold=None, trial_base=None):
     """Run the double-loop scheme on a batch of trajectories, one rng stream per row.
 
-    Each row keeps its own lower bound f_lb.  When ``x_star`` is given,
-    column t of ``dist2`` is the squared distance of the iterate after t
-    gradient steps; outer-loop restarts jump to the running best point
-    without consuming an iteration.  A DivergedError names the iteration
-    within the whole run.
+    Yields each row's ``(f_lb, x_min, f(x_min))`` after stage one and after
+    each outer loop; each row keeps its own lower bound f_lb.  A ``fold``
+    receives the iterate after t gradient steps of the whole run in column t;
+    outer-loop restarts jump to the running best point without consuming an
+    iteration and are not folded.  A DivergedError names the run's iteration.
     """
-    m, d = x0.shape
-    rows = np.arange(m)
-    lb = np.empty((m, cfg.N + 1))
-    mins = np.empty((m, cfg.N + 1, d))
-    min_vals = np.empty((m, cfg.N + 1))
-    dist2 = np.empty((m, cfg.total_iterations + 1)) if x_star is not None else None
-
+    rows = np.arange(x0.shape[0])
     first = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T1)
     inner = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T2)
-    f_lb = np.full(m, float(cfg.f_lb0))
+    f_lb = np.full(len(rows), float(cfg.f_lb0))
     x_min, offset = x0, 0
     for nu in range(cfg.N + 1):
         if nu:
-            f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * min_vals[:, nu - 1]
+            f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
         stage = inner if nu else first
         try:
-            res = _run_gnd_batch(objective, oracle, x_min, stage, rngs, f_lb=f_lb,
-                                 x_star=x_star, record_points=True, trial_base=trial_base)
+            res = _run_gnd_batch(objective, oracle, x_min, stage, rngs, f_lb=f_lb, fold=fold,
+                                 col=offset, record_points=True, trial_base=trial_base)
         except DivergedError as err:
             raise DivergedError(err.iteration + offset, err.trial, err.quantity) from None
-        if dist2 is not None:
-            skip = int(nu > 0)  # a restart's first point is the previous best point
-            dist2[:, offset + skip : offset + stage.T + 1] = res.dist2[:, skip:]
-        x_min = res.points[rows, res.t_star]
-        lb[:, nu], mins[:, nu], min_vals[:, nu] = f_lb, x_min, res.values[rows, res.t_star]
+        x_min, v_min = res.points[rows, res.t_star], res.values[rows, res.t_star]
+        yield f_lb, x_min, v_min
         offset += stage.T
 
-    return _DlGndBatch(lb_history=lb, min_points=mins, min_values=min_vals, dist2=dist2)
+
+def _run_dlgnd_batch(objective, oracle, x0, cfg, rngs, trial_base=None) -> DlGndTrace:
+    """The outer-loop trace of :func:`_dlgnd_stages`, stacked per row."""
+    lb, mins, vals = zip(*_dlgnd_stages(objective, oracle, x0, cfg, rngs, trial_base=trial_base))
+    return DlGndTrace(lb_history=np.stack(lb, axis=1), min_points=np.stack(mins, axis=1),
+                      min_values=np.stack(vals, axis=1))

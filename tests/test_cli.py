@@ -178,24 +178,34 @@ class TestRun:
         (_BASE + "[algorithm]\neta = fast\n", ["[algorithm] eta", "fast"]),
         (_BASE + "seed = 1\nseed = 2\n", ["malformed", "seed"]),
         ("trials = 4\n", ["malformed", "section header"]),
+        (_BASE + "name = ../escaped\n", ["[experiment] name", "'../escaped'", "plain file name"]),
+        (_BASE + "name = sub/run\n", ["[experiment] name", "'sub/run'", "plain file name"]),
+        (_BASE + "name = sub\\run\n", ["[experiment] name", "plain file name"]),
+        (_BASE + "name = .\n", ["[experiment] name", "'.'", "plain file name"]),
+        (_BASE + "name = ..\n", ["[experiment] name", "'..'", "plain file name"]),
+        (_BASE + "name =\n", ["[experiment] name", "''", "plain file name"]),
     ], ids=["typo-eta", "typo-workers", "unknown-section", "default-section", "no-objective",
             "s-under-gd", "T-under-dlgnd", "T-in-experiment-with-dlgnd", "T-twice",
-            "float-trials", "word-n", "word-eta", "duplicate-key", "no-section-header"])
+            "float-trials", "word-n", "word-eta", "duplicate-key", "no-section-header",
+            "name-parent", "name-slash", "name-backslash", "name-dot", "name-dotdot",
+            "name-empty"])
     def test_bad_config_is_exit_1(self, capsys, tmp_path, text, names):
         cfg = tmp_path / "bad.toml"
         cfg.write_text(text)
-        code, _, err = run_cli(capsys, "run", str(cfg), "--out", str(tmp_path), "--quiet")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out", str(out), "--quiet")
         assert code == 1
         assert err.startswith("gndopt: ") and "Traceback" not in err
         for name in names:
             assert name in err
-        assert not (tmp_path / "bad.csv").exists()
+        assert list(tmp_path.iterdir()) == [cfg]  # nothing written, in --out or beside it
 
-    @pytest.mark.parametrize("algo", ["gnd", "dlgnd", "gd"])
-    def test_sidecar_reruns_the_bench(self, capsys, tmp_path, algo):
+    @pytest.mark.parametrize("algo,length", [("gnd", ["--T", "15"]), ("dlgnd", ["--N", "2"]),
+                                             ("gd", ["--T", "15"])], ids=["gnd", "dlgnd", "gd"])
+    def test_sidecar_reruns_the_bench(self, capsys, tmp_path, algo, length):
         bench, rerun = tmp_path / "bench", tmp_path / "rerun"
         code, _, _ = run_cli(capsys, "bench", "j1-7-1", "--algo", algo, "--trials", "12",
-                             "--T", "15", "--N", "2", "--seed", "5", "--r", "0.2",
+                             *length, "--seed", "5", "--r", "0.2",
                              "--out", str(bench), "--quiet")
         assert code == 0
         code, _, err = run_cli(capsys, "run", str(bench / f"j1-7-1-{algo}.config"),
@@ -254,12 +264,24 @@ class TestBench:
         ("dlgnd", "--s", "inf"),
     ])
     def test_non_finite_flag_is_exit_1(self, capsys, tmp_path, algo, flag, bad):
+        length = {"gnd": ["--T", "5"], "dlgnd": ["--N", "2"]}[algo]
         code, _, err = run_cli(capsys, "bench", "j1-7-1", "--algo", algo, "--trials", "4",
-                               "--T", "5", "--N", "2", "--out", str(tmp_path), "--quiet",
-                               f"{flag}={bad}")
+                               *length, "--out", str(tmp_path), "--quiet", f"{flag}={bad}")
         assert code == 1
         assert "must be finite" in err
         assert not (tmp_path / f"j1-7-1-{algo}.csv").exists()
+
+    @pytest.mark.parametrize("algo,flags,keys", [
+        ("gnd", ["--N", "2"], "eta, s, f_lb, T"),
+        ("dlgnd", ["--T", "5"], "eta, s, f_lb0, gamma, N, T1, T2"),
+        ("gd", ["--s", "0.5"], "eta, T"),
+    ], ids=["gnd", "dlgnd", "gd"])
+    def test_unread_flag_is_exit_1(self, capsys, tmp_path, algo, flags, keys):
+        code, _, err = run_cli(capsys, "bench", "j1-7-1", "--algo", algo, "--trials", "4",
+                               *flags, "--out", str(tmp_path / "out"), "--quiet")
+        assert code == 1
+        assert err == f"gndopt: {flags[0]} is not read by {algo}; its keys: {keys}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_init_box_in_config_is_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "exp.toml"

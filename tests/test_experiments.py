@@ -8,7 +8,7 @@ from conftest import sequential_dlgnd
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, StatsSeries,
                     contraction_check, experiments, gnd_run, make_j1,
-                    make_quadratic, make_rastrigin, run_monte_carlo,
+                    make_quadratic, make_rastrigin, run_monte_carlo, solver,
                     stopping_time_check, write_csv, write_svg)
 
 
@@ -17,6 +17,28 @@ def _cfg(objective, algorithm, **kw):
                 trials=16, init_low=-10.0, init_high=10.0, seed=7)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _single_run_distances(cfg):
+    """Squared distances to the minimizer, trial by trial, from single-trajectory runs.
+
+    GND trials run through ``gnd_run``, DL-GND trials through the chained
+    ``gnd_run`` stages of ``sequential_dlgnd``; a restart's first point is the
+    previous stage's best point and takes no iteration.
+    """
+    obj, alg = cfg.objective, cfg.algorithm
+    oracle = SgOracle(obj, cfg.sg_noise_r)
+    rows = []
+    for i in range(cfg.trials):
+        rng = RngStream(cfg.seed, i)
+        x0 = cfg.init_low + (cfg.init_high - cfg.init_low) * rng.uniforms(obj.dim)
+        if isinstance(alg, GndConfig):
+            points = gnd_run(obj, oracle, x0, alg, rng).points
+        else:
+            stages = sequential_dlgnd(obj, oracle, x0, alg, rng)[3]
+            points = np.concatenate([stages[0].points] + [traj.points[1:] for traj in stages[1:]])
+        rows.append(np.sum((points - obj.minimizer) ** 2, axis=-1))
+    return np.stack(rows)
 
 
 class TestRunMonteCarlo:
@@ -40,16 +62,8 @@ class TestRunMonteCarlo:
         j1 = make_j1(7, 1)
         alg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=25)
         cfg = _cfg(j1, alg, trials=12, sg_noise_r=0.3)
-        stats, dist2 = run_monte_carlo(cfg, keep_distances=True)
-        oracle = SgOracle(j1, 0.3)
-        rows = []
-        for i in range(cfg.trials):
-            rng = RngStream(cfg.seed, i)
-            x0 = -10.0 + 20.0 * rng.uniforms(1)
-            traj = gnd_run(j1, oracle, x0, alg, rng)
-            rows.append(np.sum((traj.points - j1.minimizer) ** 2, axis=-1))
-        brute = np.stack(rows)
-        assert np.array_equal(brute, dist2)
+        stats = run_monte_carlo(cfg)
+        brute = _single_run_distances(cfg)
         assert np.array_equal(brute.mean(axis=0), stats.mse)
         thr2 = cfg.threshold**2
         assert np.array_equal(np.count_nonzero(brute > thr2, axis=0) / cfg.trials, stats.ncp)
@@ -75,7 +89,8 @@ class TestRunMonteCarlo:
     def test_streamed_stats_equal_full_matrix_reductions(self, monkeypatch, rows, algo):
         monkeypatch.setattr(experiments, "_CHUNK", rows)
         cfg = _cfg(make_j1(7, 1), self.ALGORITHMS[algo], trials=300)
-        stats, dist2 = run_monte_carlo(cfg, keep_distances=True)
+        stats = run_monte_carlo(cfg)
+        dist2 = _single_run_distances(cfg)
         assert np.array_equal(stats.mse, dist2.mean(axis=0))
         thr2 = cfg.threshold**2
         assert np.array_equal(stats.ncp, np.count_nonzero(dist2 > thr2, axis=0) / cfg.trials)
@@ -100,16 +115,13 @@ class TestRunMonteCarlo:
         j1 = make_j1(7, 1)
         alg = DlGndConfig(eta=0.4, s=0.5, f_lb0=-1.0, gamma=0.5, N=4, T1=10, T2=5)
         cfg = _cfg(j1, alg, trials=6)
-        stats, dist2 = run_monte_carlo(cfg, keep_distances=True)
+        stats = run_monte_carlo(cfg)
         assert len(stats.mse) == alg.total_iterations + 1 == 31
-        # reconstruct one trial as chained single GND runs: same stream, same
-        # box draw; a restart's first point is the previous stage's best point
-        rng = RngStream(cfg.seed, 3)
-        x0 = -10.0 + 20.0 * rng.uniforms(1)
-        _, _, _, stages = sequential_dlgnd(j1, SgOracle(j1, 0.0), x0, alg, rng)
-        pieces = [stages[0].points] + [traj.points[1:] for traj in stages[1:]]
-        assert np.array_equal(np.sum((np.concatenate(pieces) - j1.minimizer) ** 2, axis=-1),
-                              dist2[3])
+        # each trial as chained single GND runs on its stream, after its box draw
+        dist2 = _single_run_distances(cfg)
+        assert np.array_equal(stats.mse, dist2.mean(axis=0))
+        thr2 = cfg.threshold**2
+        assert np.array_equal(stats.ncp, np.count_nonzero(dist2 > thr2, axis=0) / cfg.trials)
 
     def test_dlgnd_divergence_names_trial_and_iteration_of_the_run(self):
         # Each trial doubles |x| per step and restarts outer loop 1 from its x0;
@@ -155,13 +167,12 @@ class TestRunMonteCarlo:
 
 
 class TestMemory:
-    """Peak memory of an ensemble follows the row block, not the trial count."""
+    """Peak memory of an ensemble follows the row block, not the trial count or T."""
 
     @staticmethod
-    def _peak(trials):
+    def _peak(trials, algorithm=GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=200), r=0.0):
         rast = make_rastrigin(1.0, 1.0, 0.05, 10)
-        cfg = _cfg(rast, GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=200), trials=trials,
-                   init_low=-5.0, init_high=5.0)
+        cfg = _cfg(rast, algorithm, trials=trials, sg_noise_r=r, init_low=-5.0, init_high=5.0)
         tracemalloc.start()
         try:
             run_monte_carlo(cfg)
@@ -175,6 +186,24 @@ class TestMemory:
         # Two blocks and five blocks: no block may outlive its fold.
         assert self._peak(300) <= one_block * 1.02
         assert self._peak(1200) <= one_block * 1.02
+
+    # A short run and one with ten times the iterations.  With r > 0 each
+    # iteration draws 20 noise columns per row, so 120 GND iterations of one
+    # block fill the noise buffer to its cap in both runs; DL-GND adds outer loops.
+    LONGER = {
+        "gnd": [GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=T) for T in (120, 1200)],
+        "dlgnd": [DlGndConfig(eta=0.05, s=2.0, f_lb0=-1.0, gamma=0.5, N=N, T1=100, T2=10)
+                  for N in (10, 190)],
+    }
+
+    @pytest.mark.parametrize("algo", ["gnd", "dlgnd"])
+    def test_peak_does_not_grow_with_iterations(self, algo):
+        assert 8 * experiments._CHUNK * 20 * 120 >= solver._NOISE_BYTES
+        short, long = self.LONGER[algo]
+        self._peak(20)  # first-call allocations are not part of any run below
+        base = self._peak(experiments._CHUNK, short, r=0.3)
+        # Only the per-iteration sums grow with T: no step's distances outlive its fold.
+        assert self._peak(experiments._CHUNK, long, r=0.3) <= base * 1.02
 
 
 class TestContractionCheck:

@@ -13,7 +13,7 @@ from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, dlgnd_run, gd_run, gnd_run,
                     j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
                     run_monte_carlo, sigma_of, solver)
-from gndopt.solver import GUARD_LIMIT, _run_dlgnd_batch, _run_gnd_batch
+from gndopt.solver import GUARD_LIMIT, _dlgnd_stages, _Fold, _run_dlgnd_batch, _run_gnd_batch
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,6 +143,14 @@ class TestGdRun:
         assert any(abs(p - x_min) < 1e-12 for p in pts)
 
 
+def _added_in_row_order(rows):
+    """Rows summed one at a time, first row first: the order ``mean(axis=0)`` adds them."""
+    total = np.zeros(len(rows[0]))
+    for row in rows:
+        total += row
+    return total
+
+
 class TestEnsembleKernel:
     def test_rows_match_single_runs_bitwise(self):
         j1 = make_j1(7, 1)
@@ -151,7 +159,7 @@ class TestEnsembleKernel:
         x0s = np.array([[8.0], [-4.0], [2.5], [0.1]])
         rngs = [RngStream(21, i) for i in range(4)]
         res = _run_gnd_batch(j1, oracle, x0s, cfg, rngs, record_points=True,
-                             record_y=True, x_star=j1.minimizer)
+                             record_y=True, fold=_Fold(j1.minimizer, 1e-6, cfg.T + 1))
         for i in range(4):
             single = gnd_run(j1, oracle, x0s[i], cfg, RngStream(21, i), record_y=True)
             assert np.array_equal(res.points[i], single.points)
@@ -205,8 +213,9 @@ class TestDivergenceGuard:
         cfg = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10)
         x0s = np.full((5, 2), 2.0)
         rngs = [RngStream(0, i) for i in range(5)]
+        fold = _Fold(q.minimizer, 1e-6, cfg.T + 1)
         with pytest.raises(DivergedError) as err:
-            _run_gnd_batch(q, SgOracle(q, 0.3), x0s, cfg, rngs, x_star=q.minimizer,
+            _run_gnd_batch(q, SgOracle(q, 0.3), x0s, cfg, rngs, fold=fold,
                            record_values=record_values, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
         assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
@@ -290,14 +299,27 @@ class TestNoiseBlockInvariance:
         oracle = SgOracle(rast, 0.3)
         cfg = GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=60)
         x0s = np.linspace(-4.0, 4.0, 50).reshape(5, 10)
-        full, bare = (
-            _run_gnd_batch(rast, oracle, x0s, cfg, [RngStream(4, i) for i in range(5)],
-                           x_star=rast.minimizer, record_values=record, record_points=True)
-            for record in (True, False))
+        thr2 = 10.0  # some rows end within it, some beyond
+
+        def folded(rows, record):
+            fold = _Fold(rast.minimizer, thr2, cfg.T + 1)
+            fold.add(0, x0s[rows])
+            res = _run_gnd_batch(rast, oracle, x0s[rows], cfg, [RngStream(4, i) for i in rows],
+                                 fold=fold, record_values=record, record_points=True)
+            return res, fold
+
+        (full, full_fold), (bare, bare_fold) = (folded(range(5), rec) for rec in (True, False))
         assert bare.values is None and bare.sigmas is None and bare.half_values is None
-        assert np.array_equal(full.dist2, bare.dist2)
         assert np.array_equal(full.points, bare.points)
-        assert np.array_equal(full.dist2, np.sum(full.points**2, axis=-1))
+        assert np.array_equal(full_fold.total, bare_fold.total)
+        assert np.array_equal(full_fold.misses, bare_fold.misses)
+        dist2 = np.sum(full.points**2, axis=-1)
+        assert np.array_equal(full_fold.total, _added_in_row_order(dist2))
+        assert np.array_equal(full_fold.misses, np.count_nonzero(dist2 > thr2, axis=0))
+        assert np.any((full_fold.misses > 0) & (full_fold.misses < 5))
+        singles = [folded([i], False)[1] for i in range(5)]
+        assert np.array_equal(full_fold.total, _added_in_row_order([f.total for f in singles]))
+        assert np.array_equal(full_fold.misses, sum(f.misses for f in singles))
 
 
 class TestDlGnd:
@@ -380,7 +402,6 @@ class TestDlGndBatch:
             assert np.array_equal(batch.lb_history[i], lb)
             assert np.array_equal(batch.min_points[i], mins)
             assert np.array_equal(batch.min_values[i], vals)
-        assert batch.dist2 is None
 
     def test_criterion_7_streams_equal_sequential_reference(self):
         rast = make_rastrigin(1.0, 1.0, 0.01, 2)
@@ -407,17 +428,26 @@ class TestDlGndBatch:
         cfg = DlGndConfig(eta=eta, s=s, f_lb0=f_lb0, gamma=gamma, N=N, T1=T1, T2=T2)
         x0s = np.array(data.draw(st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
                                           min_size=m, max_size=m)))
-        batch = _run_dlgnd_batch(rast, oracle, x0s, cfg, [RngStream(seed, i) for i in range(m)],
-                                 x_star=rast.minimizer)
-        assert batch.dist2.shape == (m, cfg.total_iterations + 1)
+        batch = _run_dlgnd_batch(rast, oracle, x0s, cfg, [RngStream(seed, i) for i in range(m)])
         for i in range(m):
             trace = dlgnd_run(rast, oracle, x0s[i], cfg, RngStream(seed, i))
             assert np.array_equal(batch.lb_history[i], trace.lb_history)
             assert np.array_equal(batch.min_points[i], trace.min_points)
             assert np.array_equal(batch.min_values[i], trace.min_values)
-            single = _run_dlgnd_batch(rast, oracle, x0s[i : i + 1], cfg, [RngStream(seed, i)],
-                                      x_star=rast.minimizer)
-            assert np.array_equal(batch.dist2[i], single.dist2[0])
+
+        def folded(rows):
+            fold = _Fold(rast.minimizer, 1.0, cfg.total_iterations + 1)
+            fold.add(0, x0s[rows])
+            rngs = [RngStream(seed, i) for i in rows]
+            stages = _dlgnd_stages(rast, oracle, x0s[rows], cfg, rngs, fold=fold)
+            return fold, [np.stack(arrays, axis=1) for arrays in zip(*stages)]
+
+        fold, trace = folded(range(m))  # folding does not change the trace
+        for got, want in zip(trace, (batch.lb_history, batch.min_points, batch.min_values)):
+            assert np.array_equal(got, want)
+        singles = [folded([i])[0] for i in range(m)]
+        assert np.array_equal(fold.total, _added_in_row_order([f.total for f in singles]))
+        assert np.array_equal(fold.misses, sum(f.misses for f in singles))
 
     def test_divergence_names_iteration_of_the_whole_run(self):
         # |1 - eta| = 2: every stage doubles |x|, so the best point stays x0 and
@@ -436,9 +466,10 @@ class TestDlGndBatch:
         q = _poisoned(make_quadratic(1.0, 2), "gradient", call, [np.nan, 0.0])
         cfg = DlGndConfig(eta=0.1, s=0.5, f_lb0=-1.0, gamma=0.5, N=4, T1=6, T2=3)
         rngs = [RngStream(0, i) for i in range(5)]
+        fold = _Fold(q.minimizer, 1e-6, cfg.total_iterations + 1)
         with pytest.raises(DivergedError) as err:
-            _run_dlgnd_batch(q, SgOracle(q, 0.3), np.full((5, 2), 2.0), cfg, rngs,
-                             x_star=q.minimizer, trial_base=40)
+            list(_dlgnd_stages(q, SgOracle(q, 0.3), np.full((5, 2), 2.0), cfg, rngs, fold=fold,
+                               trial_base=40))
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, call, "gradient")
 
 
