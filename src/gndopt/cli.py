@@ -117,14 +117,9 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_check(args) -> int:
     params = {}
-    for key in ("n", "k"):
+    for key in ("n", "k", "eps", "a", "b", "c", "R"):
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
-    for key in ("eps", "a", "b", "c"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    if args.R is not None:
-        params["R"] = args.R
     if args.function == "quadratic":
         params = {"alpha": args.alpha if args.alpha is not None else 1.0, "dim": args.d}
     elif args.function == "rastrigin":
@@ -153,6 +148,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if args.draws < 1:
+        raise ParameterError(f"draws must be a positive integer, got {args.draws}")
     exact = scaled_gaussian_norm_moments(args.d)
     rng = RngStream(args.seed, 0)
     chunk = max(1, min(args.draws, 10_000_000 // max(args.d, 1)))

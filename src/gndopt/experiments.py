@@ -24,7 +24,7 @@ import numpy as np
 from gndopt.errors import ParameterError, require_finite
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
-from gndopt.solver import DlGndConfig, GndConfig, _dlgnd_stages, _Fold, _run_gnd_batch
+from gndopt.solver import DlGndConfig, GndConfig, _dlgnd_stages, _Fold, _run_gnd_batch, _Shadow
 from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
 
 Array = np.ndarray
@@ -125,8 +125,7 @@ def _fold_block(cfg: ExperimentConfig, oracle: SgOracle, low: Array, span: Array
         x0[row] = low + span * rng.uniforms(obj.dim)
     fold.add(0, x0)
     if isinstance(cfg.algorithm, GndConfig):
-        _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, fold=fold, record_values=False,
-                       trial_base=i0)
+        _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, fold=fold, trial_base=i0)
     else:
         for _ in _dlgnd_stages(obj, oracle, x0, cfg.algorithm, rngs, fold=fold, trial_base=i0):
             pass  # the outer-loop trace is not part of the statistics
@@ -148,28 +147,36 @@ def run_monte_carlo(cfg: ExperimentConfig) -> StatsSeries:
                        trials=cfg.trials)
 
 
-def _shadow_distance_ensemble(objective: Objective, r: float, x0, T: int,
-                              trials: int, seed: int) -> tuple[Array, Schedule]:
-    """Squared shadow-iterate distances ||y_t - x*||^2 for a fixed-x0 GND ensemble.
+def _shadow_distances(objective: Objective, r: float, x0, T: int, trials: int, seed: int,
+                      use) -> Schedule:
+    """Call ``use(t, d2)`` with each t's squared shadow distances ||y_t - x*||^2, one per trial.
 
-    The run uses the certified schedule with the exact optimum as lower bound,
-    so the schedule's b reduces to the oracle term eta*r^2/lam.
+    The fixed-x0 GND ensemble uses the certified schedule with the exact
+    optimum as lower bound, so the schedule's b reduces to the oracle term
+    eta*r^2/lam.  Columns 1..T come in order during the run, column 0 after it.
     """
     if objective.certificate is None:
         raise ParameterError("a certified objective is required")
+    if trials < 1 or trials != int(trials):
+        raise ParameterError(f"trials must be a positive integer, got {trials}")
     alpha, big_l = objective.certificate
     sched = gnd_schedule(alpha, big_l, r, f_gap=0.0)
     cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=objective.min_value, T=T)
     x0 = np.asarray(x0, dtype=np.float64).reshape(objective.dim)
     if not np.all(np.isfinite(x0)):
         raise ParameterError("x0 must be finite")
-    x0_rows = np.tile(x0, (trials, 1))
-    rngs = [RngStream(seed, i) for i in range(trials)]
-    res = _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs,
-                         record_values=False, record_y=True, trial_base=0)
-    diffs = res.ys - objective.minimizer
-    ydist2 = np.sum(diffs * diffs, axis=-1)
-    return ydist2, sched
+    x0_rows = np.tile(x0, (int(trials), 1))
+    rngs = [RngStream(seed, i) for i in range(int(trials))]
+
+    def distances(t, y):
+        diff = y - objective.minimizer
+        use(t, np.sum(diff * diff, axis=-1))
+
+    shadow = _Shadow(objective, sched.eta, distances, trial_base=0)
+    _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs, fold=shadow,
+                   trial_base=0)
+    shadow.add(0, x0_rows)
+    return sched
 
 
 def contraction_check(objective: Objective, r: float, trials: int, x0, T: int,
@@ -180,7 +187,15 @@ def contraction_check(objective: Objective, r: float, trials: int, x0, T: int,
     ``slack * ((1 - eta*lam/100)^t * ||y0 - x*||^2 + 100*b)`` plus three
     standard errors of the ensemble mean, at every t.
     """
-    ydist2, sched = _shadow_distance_ensemble(objective, r, x0, T, trials, seed)
+    ydist2 = None
+
+    def keep(t, d2):
+        nonlocal ydist2
+        if ydist2 is None:  # allocated once trials has passed the checks
+            ydist2 = np.empty((len(d2), T + 1))
+        ydist2[:, t] = d2
+
+    sched = _shadow_distances(objective, r, x0, T, trials, seed, keep)
     means = ydist2.mean(axis=0)
     if trials > 1:
         se = ydist2.std(axis=0, ddof=1) / math.sqrt(trials)
@@ -211,12 +226,21 @@ def stopping_time_check(objective: Objective, r: float, ell: float, M: int,
         raise ParameterError(f"r must be positive, got {r}")
     if M < 0 or M != int(M):
         raise ParameterError(f"M must be a nonnegative integer, got {M}")
-    ydist2, sched = _shadow_distance_ensemble(objective, r, x0, int(M), trials, seed)
+    start, least = None, np.inf
+
+    def track(t, d2):
+        nonlocal start, least
+        least = np.minimum(least, d2)
+        if t == 0:
+            start = d2
+
+    sched = _shadow_distances(objective, r, x0, int(M), trials, seed, track)
     floor = 100.0 * sched.b
-    x_process = ydist2 - floor
     theta = 1.0 - sched.eta_lam / 100.0
-    empirical = float(np.count_nonzero((x_process < ell).any(axis=1)) / trials)
-    x0_vals = x_process[:, 0]
+    # Rounding x - floor is monotone in x, so the running minimum dips below
+    # ell exactly when some X_t does.
+    empirical = float(np.count_nonzero(least - floor < ell) / trials)
+    x0_vals = start - floor
     b_hat = float(np.mean(x0_vals * (x0_vals >= ell)))
     analytic = stopping_time_bound(theta, floor, ell, int(M), b_hat)
     return StoppingTimeReport(empirical_p=empirical, analytic_bound=analytic,

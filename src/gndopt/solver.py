@@ -12,12 +12,14 @@ attaining the minimum recorded value over x_0..x_T (half-step values are
 recorded for the noise bookkeeping but never enter t*).
 
 Cost per iteration: one gradient evaluation (at x_t) and two value evaluations
-(at x_{t+1/2} and x_{t+1}); recording the shadow iterates y_t = x_t - eta*grad f(x_t)
-reuses the step gradient and only adds one extra gradient evaluation at x_T.
+(at x_{t+1/2} and x_{t+1}).  The shadow iterates y_t = x_t - eta*grad f(x_t)
+are a fold (``_Shadow``) that evaluates its own gradient at each x_t, so they
+cost one more gradient evaluation per iteration.
 
 All runners drive the same batched kernel, so a single trajectory is bitwise
 identical to the corresponding row of an ensemble run with the same stream.
-An ensemble's statistics are folded inside the kernel, step by step (``_Fold``).
+An ensemble's statistics are folded inside the kernel, step by step (``_Fold``,
+``_Shadow``).
 The double loop has one batched implementation, ``_dlgnd_stages``, with a
 lower bound per row; ``dlgnd_run`` is its one-row case.  Its iterations are
 numbered across the whole run: outer loop nu >= 1 starts at T1 + (nu-1)*T2.
@@ -101,14 +103,14 @@ class DlGndConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-iteration record of one solver run."""
+    """Per-iteration record of one solver run (of a batch: a leading row axis)."""
 
     points: Array       # (T+1, d)
     values: Array       # (T+1,)
     sigmas: Array       # (T,)
     half_values: Array  # (T,) values at the half-steps x_{t+1/2}
     y_points: Optional[Array]  # (T+1, d) shadow iterates, when recorded
-    t_star: int
+    t_star: int         # of a batch: one index per row
 
     def best_point(self) -> Array:
         return self.points[self.t_star]
@@ -161,14 +163,6 @@ def _check_gradients(g, t, base):
         _diverged(norm2 <= _GUARD_LIMIT_SQ, t, base, GRADIENT)
 
 
-class _BatchResult:
-    __slots__ = ("values", "sigmas", "half_values", "points", "ys", "t_star")
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw.get(name))
-
-
 class _Fold:
     """Per-iteration sums of squared distances to x_star, and counts of those above thr2.
 
@@ -189,20 +183,35 @@ class _Fold:
         self.total[t] = np.add.accumulate(acc, out=acc)[-1]
 
 
+class _Shadow:
+    """Shadow iterates y_t = x_t - eta*grad f(x_t) of each row, passed on as ``use(t, y)``.
+
+    ``add(t, x)`` evaluates and guards grad f(x_t) as iteration t.  The kernel
+    folds x_t after guarding f(x_t), so each iteration keeps the order value,
+    then gradient; the caller adds column 0 after the run for the same reason.
+    """
+
+    def __init__(self, objective, eta, use, trial_base=None):
+        self.objective, self.eta, self.use, self.trial_base = objective, eta, use, trial_base
+
+    def add(self, t, x):
+        g = self.objective.gradient(x)
+        _check_gradients(g, t, self.trial_base)
+        self.use(t, x - self.eta * g)
+
+
 def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, col=0,
-                   record_values=True, record_points=False, record_y=False,
-                   trial_base=None) -> _BatchResult:
+                   record=False, trial_base=None) -> Optional[Trajectory]:
     """Run cfg.T GND iterations on a batch of trajectories, one rng stream per row.
 
     ``f_lb`` may be a scalar or a per-row vector (used by the double-loop
     ensemble); it defaults to ``cfg.f_lb``.  A ``fold`` receives the iterate
     after step t in column ``col + t + 1`` (x0 is not folded).  With
-    ``record_values=False`` the per-iteration ``values``, ``sigmas`` and
-    ``half_values`` (and ``t_star``) are not stored; every value is still
-    evaluated and guarded, so the iterates and the stream consumption do not
-    change.  Raises
-    DivergedError as soon as any row produces a non-finite value/gradient or
-    exceeds GUARD_LIMIT.
+    ``record=True`` the run is returned as a :class:`Trajectory` with a leading
+    row axis (without ``y_points``); otherwise nothing is stored and None is
+    returned.  Every value is evaluated and guarded either way, so the iterates
+    and the stream consumption do not change.  Raises DivergedError as soon as
+    any row produces a non-finite value/gradient or exceeds GUARD_LIMIT.
     """
     x = np.array(x0, dtype=np.float64)
     m, d = x.shape
@@ -220,18 +229,12 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, co
     xi_cols = slice(d if draw_omega else 0, None)
     sqrt_d = math.sqrt(d)
 
-    values = np.empty((m, T + 1)) if record_values else None
-    sigmas = np.empty((m, T)) if record_values else None
-    half_values = np.empty((m, T)) if record_values else None
-    points = np.empty((m, T + 1, d)) if record_points else None
-    ys = np.empty((m, T + 1, d)) if record_y else None
-
     v = objective.value(x)
     _check_values(v, 0, trial_base)
-    if record_values:
-        values[:, 0] = v
-    if record_points:
-        points[:, 0] = x
+    if record:
+        values, points = np.empty((m, T + 1)), np.empty((m, T + 1, d))
+        sigmas, half_values = np.empty((m, T)), np.empty((m, T))
+        values[:, 0], points[:, 0] = v, x
 
     # Noise for up to `most` iterations, already divided by sqrt(d): one buffer
     # per call of at most _NOISE_BYTES (or of one iteration, if that is more),
@@ -249,18 +252,13 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, co
             bpos = 0
         g = objective.gradient(x)
         _check_gradients(g, t, trial_base)
-        if record_y:
-            ys[:, t] = x - eta * g
         if draw_omega:
             g = g + r * block[:, bpos, :d]
         xh = x - eta * g
         vh = objective.value(xh)
         _check_values(vh, t, trial_base, HALF_VALUE)
-        if draw_xi or record_values:
+        if draw_xi or record:
             sig = np.sqrt(eta_s * np.maximum(vh - f_lb, 0.0))
-        if record_values:
-            half_values[:, t] = vh
-            sigmas[:, t] = sig
         if draw_xi:
             x = xh - sig[:, None] * block[:, bpos, xi_cols]
         else:
@@ -268,22 +266,17 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, co
         bpos += 1
         v = objective.value(x)
         _check_values(v, t + 1, trial_base)
-        if record_values:
-            values[:, t + 1] = v
-        if record_points:
-            points[:, t + 1] = x
+        if record:
+            half_values[:, t], sigmas[:, t] = vh, sig
+            values[:, t + 1], points[:, t + 1] = v, x
         if fold is not None:
             fold.add(col + t + 1, x)
 
-    if record_y:
-        g = objective.gradient(x)
-        _check_gradients(g, T, trial_base)
-        ys[:, T] = x - eta * g
-
+    if not record:
+        return None
     # argmin returns the first minimizing index
-    t_star = np.argmin(values, axis=1) if record_values else None
-    return _BatchResult(values=values, sigmas=sigmas, half_values=half_values,
-                        points=points, ys=ys, t_star=t_star)
+    return Trajectory(points=points, values=values, sigmas=sigmas, half_values=half_values,
+                      y_points=None, t_star=np.argmin(values, axis=1))
 
 
 def _as_x0(objective, x0) -> Array:
@@ -295,16 +288,22 @@ def _as_x0(objective, x0) -> Array:
 
 def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig, rng: RngStream,
             record_y: bool = False) -> Trajectory:
-    """Run GND for cfg.T iterations from x0, recording the full trajectory."""
-    x0 = _as_x0(objective, x0)
-    res = _run_gnd_batch(objective, oracle, x0[None, :], cfg, [rng],
-                         record_points=True, record_y=record_y)
+    """Run GND for cfg.T iterations from x0, recording the full trajectory.
+
+    With ``record_y=True`` the shadow iterates are recorded through ``_Shadow``.
+    """
+    x0 = _as_x0(objective, x0)[None, :]
+    ys = np.empty((cfg.T + 1, 1, objective.dim)) if record_y else None
+    shadow = _Shadow(objective, cfg.eta, ys.__setitem__) if record_y else None
+    res = _run_gnd_batch(objective, oracle, x0, cfg, [rng], fold=shadow, record=True)
+    if record_y:
+        shadow.add(0, x0)
     return Trajectory(
         points=res.points[0],
         values=res.values[0],
         sigmas=res.sigmas[0],
         half_values=res.half_values[0],
-        y_points=res.ys[0] if record_y else None,
+        y_points=ys[:, 0] if record_y else None,
         t_star=int(res.t_star[0]),
     )
 
@@ -350,7 +349,7 @@ def _dlgnd_stages(objective, oracle, x0, cfg, rngs, fold=None, trial_base=None):
         stage = inner if nu else first
         try:
             res = _run_gnd_batch(objective, oracle, x_min, stage, rngs, f_lb=f_lb, fold=fold,
-                                 col=offset, record_points=True, trial_base=trial_base)
+                                 col=offset, record=True, trial_base=trial_base)
         except DivergedError as err:
             raise DivergedError(err.iteration + offset, err.trial, err.quantity) from None
         x_min, v_min = res.points[rows, res.t_star], res.values[rows, res.t_star]

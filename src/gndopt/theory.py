@@ -253,6 +253,17 @@ def estimate_beta_quadratic(objective: Objective, alpha: float, grid) -> float:
     return float(np.max(2.0 * np.abs(fv - 0.5 * alpha * r2) / r2))
 
 
+def _certified(objective: Objective, alpha, L) -> tuple[float, float]:
+    """``(alpha, L)``, each defaulting to the objective's certificate when None."""
+    if alpha is None or L is None:
+        if objective.certificate is None:
+            raise ParameterError("alpha and L are required when the objective has no certificate")
+        cert_alpha, cert_l = objective.certificate
+        alpha = cert_alpha if alpha is None else alpha
+        L = cert_l if L is None else L
+    return alpha, L
+
+
 def regularity_constants_grid(objective: Objective, grid, alpha: float | None = None,
                               L: float | None = None) -> RegularityReport:
     """Grid-restricted regularity constants for an objective with known minimizer.
@@ -262,12 +273,7 @@ def regularity_constants_grid(objective: Objective, grid, alpha: float | None = 
     ``f(x) - f* <= 1e-14`` are skipped by the gradient-dominance ratio to avoid
     0/0 next to the minimizer.
     """
-    if alpha is None or L is None:
-        if objective.certificate is None:
-            raise ParameterError("alpha and L are required when the objective has no certificate")
-        cert_alpha, cert_l = objective.certificate
-        alpha = cert_alpha if alpha is None else alpha
-        L = cert_l if L is None else L
+    alpha, L = _certified(objective, alpha, L)
     grid, diffs, r2 = _grid_and_diffs(objective, grid)
     fv = np.atleast_1d(objective.value(grid)) - objective.min_value
     g = objective.gradient(grid)
@@ -331,12 +337,7 @@ def barrier_check(objective: Objective, x_hat, radius: float,
         raise ParameterError(f"barrier check supports d in {{1, 2}}, got d={d}")
     if not radius > 0:
         raise ParameterError(f"radius must be positive, got {radius}")
-    if alpha is None or L is None:
-        if objective.certificate is None:
-            raise ParameterError("alpha and L are required when the objective has no certificate")
-        cert_alpha, cert_l = objective.certificate
-        alpha = cert_alpha if alpha is None else alpha
-        L = cert_l if L is None else L
+    alpha, L = _certified(objective, alpha, L)
     x_hat = np.asarray(x_hat, dtype=np.float64).reshape(d)
     dist = math.sqrt(float(np.sum((x_hat - objective.minimizer) ** 2)))
     if radius >= dist:

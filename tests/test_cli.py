@@ -94,6 +94,13 @@ class TestMoments:
         assert float(pairs["m2_exact"]) == 1.0
         assert abs(float(pairs["m2_mc"]) - 1.0) <= 0.05
 
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_draws_below_one_is_exit_1(self, capsys, draws):
+        code, out, err = run_cli(capsys, "moments", "--d", "2", "--draws", draws)
+        assert code == 1
+        assert "draws" in err
+        assert out == ""
+
 
 class TestStbound:
     def test_reports_pair(self, capsys):
@@ -112,6 +119,13 @@ class TestStbound:
                                  "--trials", "8", f"{flag}={bad}")
         assert code == 1
         assert "must be finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bad_trial_count_is_exit_1(self, capsys, trials):
+        code, out, err = run_cli(capsys, "stbound", "--ell", "25", "--M", "5", "--trials", trials)
+        assert code == 1
+        assert err == f"gndopt: trials must be a positive integer, got {trials}\n"
         assert out == ""
 
 

@@ -205,6 +205,36 @@ class TestMemory:
         # Only the per-iteration sums grow with T: no step's distances outlive its fold.
         assert self._peak(experiments._CHUNK, long, r=0.3) <= base * 1.02
 
+    # Shadow ensembles of 256 trials on a 10-d quadratic: with r > 0 each
+    # iteration draws 20 noise columns per row, so the noise buffer reaches its
+    # cap within 120 iterations in both runs.
+    SHADOW = {
+        "stopping_time": lambda q, M: stopping_time_check(
+            q, r=1.0, ell=25.0, M=M, trials=256, x0=np.full(10, 5.0), seed=3),
+        "contraction": lambda q, M: contraction_check(
+            q, r=1.0, trials=256, x0=np.full(10, 5.0), T=M, seed=3),
+    }
+
+    def _shadow_peak(self, check, M):
+        q = make_quadratic(1.0, 10)
+        tracemalloc.start()
+        try:
+            self.SHADOW[check](q, M)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_stopping_time_peak_does_not_grow_with_iterations(self):
+        assert 8 * 256 * 20 * 120 >= solver._NOISE_BYTES
+        self._shadow_peak("stopping_time", 5)  # first-call allocations
+        base = self._shadow_peak("stopping_time", 120)
+        assert self._shadow_peak("stopping_time", 1200) <= base * 1.02
+
+    def test_contraction_peak_grows_only_by_its_distance_matrix(self):
+        self._shadow_peak("contraction", 5)  # first-call allocations
+        growth = self._shadow_peak("contraction", 1200) - self._shadow_peak("contraction", 120)
+        assert growth <= 1.1 * 8 * 256 * (1200 - 120)
+
 
 class TestContractionCheck:
     def test_noise_free_quadratic(self):
@@ -233,6 +263,11 @@ class TestContractionCheck:
         with pytest.raises(ParameterError):
             contraction_check(r, r=0.0, trials=5, x0=[1.0, 1.0], T=5, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_bad_trial_count_rejected(self, trials):
+        with pytest.raises(ParameterError, match="trials must be a positive integer"):
+            contraction_check(make_quadratic(1.0, 1), r=1.0, trials=trials, x0=[5.0], T=5, seed=0)
+
 
 class TestStoppingTimeCheck:
     def test_threshold_above_start_gives_certain_dip(self):
@@ -259,6 +294,12 @@ class TestStoppingTimeCheck:
         q = make_quadratic(1.0, 1)
         with pytest.raises(ParameterError):
             stopping_time_check(q, r=0.0, ell=1.0, M=5, trials=5, x0=[5.0], seed=0)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_bad_trial_count_rejected(self, trials):
+        with pytest.raises(ParameterError, match="trials must be a positive integer"):
+            stopping_time_check(make_quadratic(1.0, 1), r=1.0, ell=25.0, M=5, trials=trials,
+                                x0=[5.0], seed=0)
 
     @pytest.mark.parametrize("field,bad", [("x0", [math.nan]), ("x0", [math.inf]),
                                            ("ell", math.nan), ("ell", math.inf),

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, dlgnd_run, gd_run, gnd_run,
                     j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
-                    run_monte_carlo, sigma_of, solver)
-from gndopt.solver import GUARD_LIMIT, _dlgnd_stages, _Fold, _run_dlgnd_batch, _run_gnd_batch
+                    run_monte_carlo, sigma_of, solver, stopping_time_check)
+from gndopt.solver import (GUARD_LIMIT, _dlgnd_stages, _Fold, _run_dlgnd_batch, _run_gnd_batch,
+                           _Shadow)
 
 DATA = Path(__file__).parent / "data"
 
@@ -158,14 +159,16 @@ class TestEnsembleKernel:
         cfg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=30)
         x0s = np.array([[8.0], [-4.0], [2.5], [0.1]])
         rngs = [RngStream(21, i) for i in range(4)]
-        res = _run_gnd_batch(j1, oracle, x0s, cfg, rngs, record_points=True,
-                             record_y=True, fold=_Fold(j1.minimizer, 1e-6, cfg.T + 1))
+        ys = np.empty((cfg.T + 1, 4, 1))
+        shadow = _Shadow(j1, cfg.eta, ys.__setitem__)
+        res = _run_gnd_batch(j1, oracle, x0s, cfg, rngs, fold=shadow, record=True)
+        shadow.add(0, x0s)
         for i in range(4):
             single = gnd_run(j1, oracle, x0s[i], cfg, RngStream(21, i), record_y=True)
             assert np.array_equal(res.points[i], single.points)
             assert np.array_equal(res.values[i], single.values)
             assert np.array_equal(res.sigmas[i], single.sigmas)
-            assert np.array_equal(res.ys[i], single.y_points)
+            assert np.array_equal(ys[:, i], single.y_points)
             assert res.t_star[i] == single.t_star
 
     def test_divergence_reports_trial_and_iteration(self):
@@ -198,7 +201,7 @@ def _poisoned(objective, kind, call, bad):
 
 
 class TestDivergenceGuard:
-    @pytest.mark.parametrize("record_values", [True, False])
+    @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("kind, call, bad, iteration, quantity", [
         ("value", 10, np.nan, 5, "value"),
         ("value", 7, np.inf, 3, "half-step value"),
@@ -208,7 +211,7 @@ class TestDivergenceGuard:
         ("gradient", 2, [0.9 * GUARD_LIMIT, -0.9 * GUARD_LIMIT], 2, "gradient"),
     ])
     def test_names_first_failing_row_iteration_and_quantity(self, kind, call, bad, iteration,
-                                                            quantity, record_values):
+                                                            quantity, record):
         q = _poisoned(make_quadratic(1.0, 2), kind, call, bad)
         cfg = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10)
         x0s = np.full((5, 2), 2.0)
@@ -216,9 +219,22 @@ class TestDivergenceGuard:
         fold = _Fold(q.minimizer, 1e-6, cfg.T + 1)
         with pytest.raises(DivergedError) as err:
             _run_gnd_batch(q, SgOracle(q, 0.3), x0s, cfg, rngs, fold=fold,
-                           record_values=record_values, trial_base=40)
+                           record=record, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
         assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
+
+    # On the shadow path of M iterations, gradient call 2t is the step's grad f(x_t),
+    # call 2t+1 the shadow's grad f(x_{t+1}), and call 2M the shadow's grad f(x_0).
+    @pytest.mark.parametrize("kind, call, M, quantity", [
+        ("gradient", 7, 4, "gradient"),  # at x_M
+        ("gradient", 0, 0, "gradient"),  # at x_0 of a run without steps
+        ("value", 0, 0, "value"),  # f(x_0) is guarded before its gradient
+    ])
+    def test_shadow_path_names_trial_iteration_and_quantity(self, kind, call, M, quantity):
+        q = _poisoned(make_quadratic(1.0, 1), kind, call, np.nan)
+        with pytest.raises(DivergedError) as err:
+            stopping_time_check(q, r=1.0, ell=25.0, M=M, trials=5, x0=[5.0], seed=0)
+        assert (err.value.trial, err.value.iteration, err.value.quantity) == (3, M, quantity)
 
 
 class TestNoiseBlockInvariance:
@@ -270,7 +286,7 @@ class TestNoiseBlockInvariance:
         monkeypatch.setattr(RngStream, "normals", counted)
         _run_gnd_batch(q, SgOracle(q, 0.5), np.ones((4, 1)),
                        GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10),
-                       [RngStream(1, i) for i in range(4)], record_values=False)
+                       [RngStream(1, i) for i in range(4)], record=False)
         assert calls == [(span, 2) for span in spans for _ in range(4)]
 
     def test_noise_buffer_stays_within_budget(self):
@@ -283,7 +299,7 @@ class TestNoiseBlockInvariance:
             rngs = [RngStream(3, i) for i in range(256)]
             tracemalloc.start()
             try:
-                _run_gnd_batch(rast, SgOracle(rast, r), x0, cfg, rngs, record_values=False)
+                _run_gnd_batch(rast, SgOracle(rast, r), x0, cfg, rngs, record=False)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -301,16 +317,24 @@ class TestNoiseBlockInvariance:
         x0s = np.linspace(-4.0, 4.0, 50).reshape(5, 10)
         thr2 = 10.0  # some rows end within it, some beyond
 
+        class Keeping(_Fold):
+            """The distance fold, also keeping each step's iterates."""
+
+            def add(self, t, x):
+                super().add(t, x)
+                self.points.append(x.copy())
+
         def folded(rows, record):
-            fold = _Fold(rast.minimizer, thr2, cfg.T + 1)
+            fold = Keeping(rast.minimizer, thr2, cfg.T + 1)
+            fold.points = []
             fold.add(0, x0s[rows])
             res = _run_gnd_batch(rast, oracle, x0s[rows], cfg, [RngStream(4, i) for i in rows],
-                                 fold=fold, record_values=record, record_points=True)
+                                 fold=fold, record=record)
             return res, fold
 
         (full, full_fold), (bare, bare_fold) = (folded(range(5), rec) for rec in (True, False))
-        assert bare.values is None and bare.sigmas is None and bare.half_values is None
-        assert np.array_equal(full.points, bare.points)
+        assert bare is None
+        assert np.array_equal(full.points, np.stack(bare_fold.points, axis=1))
         assert np.array_equal(full_fold.total, bare_fold.total)
         assert np.array_equal(full_fold.misses, bare_fold.misses)
         dist2 = np.sum(full.points**2, axis=-1)
