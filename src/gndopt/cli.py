@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from gndopt.errors import DivergedError, ParameterError
+from gndopt.errors import DivergedError, ParameterError, require_finite, require_integer
 from gndopt.experiments import (ExperimentConfig, run_monte_carlo, stopping_time_check,
                                 write_csv, write_svg)
-from gndopt.objectives import make_objective, make_quadratic
+from gndopt.objectives import _FACTORIES, make_objective, make_quadratic
 from gndopt.sampling import RngStream, sample_scaled_gaussian, scaled_gaussian_norm_moments
 from gndopt.solver import DlGndConfig, GndConfig
 from gndopt.theory import (ball_shell_grid, dlgnd_schedule, gnd_schedule,
@@ -116,15 +116,18 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    params = {}
-    for key in ("n", "k", "eps", "a", "b", "c", "R"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    if args.function == "quadratic":
-        params = {"alpha": args.alpha if args.alpha is not None else 1.0, "dim": args.d}
-    elif args.function == "rastrigin":
-        params["dim"] = args.d
-    obj = make_objective(args.function, **params)
+    # The objective gets the flags given, so make_objective names one it does not
+    # read; alpha and d default to 1 where it reads them.  --alpha is also the
+    # surrogate's alpha, for every function.
+    reads = _FACTORIES[args.function][1]
+    params = {key: 1 for key in ("alpha", "dim") if key in reads}
+    params.update((key, val) for key, val in vars(args).items()
+                  if key in _SCHEMA["objective"] and val is not None
+                  and (key in reads or key != "alpha"))
+    obj = make_objective(**params)
+    require_finite(**{"--grid-lo": args.grid_lo, "--grid-hi": args.grid_hi})
+    # a 1-d grid has 2 * (grid_points // 2) points, at least 2 per side
+    require_integer(4 if obj.dim == 1 else 1, **{"--grid-points": args.grid_points})
     if obj.dim == 1:
         grid = symmetric_log_grid(args.grid_lo, args.grid_hi, args.grid_points // 2)
     else:
@@ -148,8 +151,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    if args.draws < 1:
-        raise ParameterError(f"draws must be a positive integer, got {args.draws}")
+    require_integer(1, draws=args.draws)
     exact = scaled_gaussian_norm_moments(args.d)
     rng = RngStream(args.seed, 0)
     chunk = max(1, min(args.draws, 10_000_000 // max(args.d, 1)))
@@ -269,8 +271,7 @@ def _run_experiment(args, sections: dict, name: str) -> int:
                  else GndConfig(**{"s": 0.0, "f_lb": 0.0, **alg}))
     exp = dict(sections["experiment"])
     workers = exp.pop("workers")  # recorded in the sidecar; runs are single-threaded
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
+    require_integer(1, workers=workers)
     cfg = ExperimentConfig(objective=objective, algorithm=algorithm, **exp)
     _progress(args, f"running {name}: trials={cfg.trials} iterations={cfg.total_iterations}")
     stats = run_monte_carlo(cfg)
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--L", type=float, default=None)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", dest="dim", type=int, default=None)
     p.add_argument("--grid-lo", type=float, default=1e-6)
     p.add_argument("--grid-hi", type=float, default=10.0)
     p.add_argument("--grid-points", type=int, default=100_000)

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types and the parameter checks shared across the package.
+
+A scalar parameter is valid only when it is finite and in its range.  The
+``require_*`` checks take ``name=value`` keywords, test them in the order
+given and raise :class:`ParameterError` on the first bad one: a NaN or
+infinite value as ``"{name} must be finite, got {value}"``, a finite value out
+of range as ``"{name} must be positive, got {value}"`` (or ``be nonnegative``,
+``be a positive integer``, ``be a nonnegative integer``, ``be an integer >=
+{least}``, ``lie in (0, 1)``).  A value passes only by satisfying its range,
+so NaN fails every check.
+"""
 
 import math
 
@@ -41,3 +51,35 @@ def require_finite(**params) -> None:
     for name, value in params.items():
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def _require(params, holds, wording) -> None:
+    for name, value in params.items():
+        require_finite(**{name: value})
+        if not holds(value):
+            raise ParameterError(f"{name} must {wording}, got {value}")
+
+
+def require_positive(**params) -> None:
+    """Raise ParameterError naming the first parameter that is not finite and > 0."""
+    _require(params, lambda v: v > 0, "be positive")
+
+
+def require_nonnegative(**params) -> None:
+    """Raise ParameterError naming the first parameter that is not finite and >= 0."""
+    _require(params, lambda v: v >= 0, "be nonnegative")
+
+
+def require_unit_interval(**params) -> None:
+    """Raise ParameterError naming the first parameter outside the open interval (0, 1)."""
+    _require(params, lambda v: 0 < v < 1, "lie in (0, 1)")
+
+
+def require_integer(least: int, **params) -> None:
+    """Raise ParameterError naming the first parameter that is not an integer >= least.
+
+    Integral floats such as ``5.0`` pass; callers convert with ``int``.
+    """
+    kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(least,
+                                                                     f"an integer >= {least}")
+    _require(params, lambda v: v >= least and v == int(v), f"be {kind}")

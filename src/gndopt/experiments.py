@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from gndopt.errors import ParameterError, require_finite
+from gndopt.errors import (ParameterError, require_finite, require_integer, require_nonnegative,
+                           require_positive)
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
 from gndopt.solver import DlGndConfig, GndConfig, _dlgnd_stages, _Fold, _run_gnd_batch, _Shadow
@@ -49,18 +50,13 @@ class ExperimentConfig:
     threshold: float = 1e-3
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError(f"trials must be at least 1, got {self.trials}")
-        require_finite(sg_noise_r=self.sg_noise_r, threshold=self.threshold)
-        if self.sg_noise_r < 0:
-            raise ParameterError(f"sg_noise_r must be nonnegative, got {self.sg_noise_r}")
-        if not self.threshold > 0:
-            raise ParameterError(f"threshold must be positive, got {self.threshold}")
-        d = self.objective.dim
-        low = np.broadcast_to(np.asarray(self.init_low, dtype=np.float64), (d,))
-        high = np.broadcast_to(np.asarray(self.init_high, dtype=np.float64), (d,))
-        if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high))):
-            raise ParameterError("init box bounds must be finite")
+        require_integer(1, trials=self.trials)
+        require_nonnegative(sg_noise_r=self.sg_noise_r)
+        require_positive(threshold=self.threshold)
+        low, high = _init_box(self)
+        for name, bound in (("init_low", low), ("init_high", high)):
+            if not np.all(np.isfinite(bound)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if np.any(low > high):
             raise ParameterError("init box must satisfy low <= high per coordinate")
 
@@ -157,8 +153,7 @@ def _shadow_distances(objective: Objective, r: float, x0, T: int, trials: int, s
     """
     if objective.certificate is None:
         raise ParameterError("a certified objective is required")
-    if trials < 1 or trials != int(trials):
-        raise ParameterError(f"trials must be a positive integer, got {trials}")
+    require_integer(1, trials=trials)
     alpha, big_l = objective.certificate
     sched = gnd_schedule(alpha, big_l, r, f_gap=0.0)
     cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=objective.min_value, T=T)
@@ -221,11 +216,9 @@ def stopping_time_check(objective: Objective, r: float, ell: float, M: int,
     :func:`gndopt.theory.stopping_time_bound` evaluated at the empirical
     B = E[X_0 * 1{X_0 >= ell}].
     """
-    require_finite(r=r, ell=ell)
-    if not r > 0:
-        raise ParameterError(f"r must be positive, got {r}")
-    if M < 0 or M != int(M):
-        raise ParameterError(f"M must be a nonnegative integer, got {M}")
+    require_positive(r=r)
+    require_finite(ell=ell)
+    require_integer(0, M=M)
     start, least = None, np.inf
 
     def track(t, d2):

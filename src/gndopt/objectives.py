@@ -27,7 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from gndopt.errors import ParameterError
+from gndopt.errors import (ParameterError, require_integer, require_positive,
+                           require_unit_interval)
 
 Array = np.ndarray
 
@@ -80,8 +81,7 @@ def fourier_sin_coefficients(n: int) -> FourierSinCoefficients:
     arithmetic and drifts by less than 1e-12 relative in float64 for n up to
     several hundred.
     """
-    if n < 1 or n != int(n):
-        raise ParameterError(f"n must be a positive integer, got {n}")
+    require_integer(1, n=n)
     n = int(n)
     log_c0 = math.lgamma(2 * n + 1) - 2.0 * math.lgamma(n + 1) - n * math.log(4.0)
     c0 = math.exp(log_c0)
@@ -100,10 +100,8 @@ def _scalarize(v):
 
 def make_quadratic(alpha: float, d: int, x_star=None) -> Objective:
     """Isotropic quadratic bowl ``alpha/2 * ||x - x*||^2`` with certificate ``(alpha, alpha)``."""
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if d < 1 or d != int(d):
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    require_positive(alpha=alpha)
+    require_integer(1, d=d)
     d = int(d)
     x_star = np.zeros(d) if x_star is None else np.asarray(x_star, dtype=np.float64).reshape(d).copy()
     alpha = float(alpha)
@@ -129,8 +127,7 @@ def compute_nk(k: int) -> int:
     ``r_n = r_{n-1} * (2n-1)/(2n)`` starting from ``r_0 = 1``, which is
     monotone decreasing and numerically stable.
     """
-    if k < 1 or k != int(k):
-        raise ParameterError(f"k must be a positive integer, got {k}")
+    require_integer(1, k=k)
     k = int(k)
     threshold = 2.0 * k / (25.0 * (k + 1.0))
     n = 0
@@ -162,10 +159,7 @@ def make_j1(n: int, k: int) -> Objective:
     global minimizer 0; for n >= compute_nk(k) the function is certified
     (21/25, 1)-nearly convex, otherwise no certificate is attached.
     """
-    if n < 1 or n != int(n):
-        raise ParameterError(f"n must be a positive integer, got {n}")
-    if k < 1 or k != int(k):
-        raise ParameterError(f"k must be a positive integer, got {k}")
+    require_integer(1, n=n, k=k)
     n, k = int(n), int(k)
     coeffs = fourier_sin_coefficients(n)
     c0 = coeffs.c[0]
@@ -214,10 +208,8 @@ def j1_stationary_points(n: int, k: int, j_max: int) -> list[float]:
     formula; this tight tolerance is kept deliberately so coefficient bugs
     cannot hide behind slack.
     """
-    if n < 1 or k < 1:
-        raise ParameterError(f"n and k must be positive integers, got n={n}, k={k}")
-    if j_max < 0 or j_max != int(j_max):
-        raise ParameterError(f"j_max must be a nonnegative integer, got {j_max}")
+    require_integer(1, n=n, k=k)
+    require_integer(0, j_max=j_max)
     a = math.asin((k / (k + 1.0)) ** (1.0 / (2.0 * n)))
     scale = 1.0 + 1.0 / k
     points = []
@@ -241,10 +233,8 @@ def make_j2(eps: float, R: float) -> Objective:
     without ever evaluating log(0).  For x != 0 the exact gradient is
     ``(1 + eps*sin(u) + eps*R*cos(u)) * x`` with ``u = 2R*log|x|``.
     """
-    if not (0.0 < eps < 1.0):
-        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    if not R > 0:
-        raise ParameterError(f"R must be positive, got {R}")
+    require_unit_interval(eps=eps)
+    require_positive(R=R)
     eps, R = float(eps), float(R)
 
     def value(x):
@@ -283,10 +273,8 @@ def make_rastrigin(a: float, b: float, c: float, d: int) -> Objective:
     No nearly-convexity certificate is attached; the function is used as an
     uncertified stress benchmark.
     """
-    if not (a > 0 and b > 0 and c > 0):
-        raise ParameterError(f"a, b, c must be positive, got a={a}, b={b}, c={c}")
-    if d < 1 or d != int(d):
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    require_positive(a=a, b=b, c=c)
+    require_integer(1, d=d)
     a, b, c, d = float(a), float(b), float(c), int(d)
 
     def value(x):
@@ -328,5 +316,5 @@ def make_objective(function: str, **params) -> Objective:
         raise ParameterError(f"objective {function!r} got unknown keys {extra}")
     kwargs = dict(params)
     if "dim" in kwargs:
-        kwargs["d"] = int(kwargs.pop("dim"))
+        kwargs["d"] = kwargs.pop("dim")
     return factory(**kwargs)

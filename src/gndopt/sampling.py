@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gndopt.errors import ParameterError, require_finite
+from gndopt.errors import ParameterError, require_integer, require_nonnegative
 from gndopt.objectives import Objective
 
 Array = np.ndarray
@@ -58,8 +58,7 @@ def sample_scaled_gaussian(d: int, rng: RngStream, size: int | None = None) -> A
 
     Consumes exactly d normal draws per vector.
     """
-    if d < 1 or d != int(d):
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    require_integer(1, d=d)
     shape = (int(d),) if size is None else (int(size), int(d))
     return rng.normals(shape) / math.sqrt(d)
 
@@ -77,9 +76,7 @@ class SgOracle:
     r: float = 0.0
 
     def __post_init__(self):
-        require_finite(r=self.r)
-        if self.r < 0:
-            raise ParameterError(f"noise scale r must be nonnegative, got {self.r}")
+        require_nonnegative(r=self.r)
 
 
 def sg_draw(oracle: SgOracle, x: Array, rng: RngStream) -> Array:
@@ -103,8 +100,7 @@ def scaled_gaussian_norm_moments(d: int) -> tuple[float, float, float, float]:
     The Gamma ratio is evaluated through ``math.lgamma`` (relative error well
     below 1e-12 for any practical d).
     """
-    if d < 1 or d != int(d):
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    require_integer(1, d=d)
     d = int(d)
     m1 = math.sqrt(2.0 / d) * math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
     m2 = 1.0

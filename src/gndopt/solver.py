@@ -33,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from gndopt.errors import DivergedError, ParameterError, require_finite
+from gndopt.errors import (DivergedError, ParameterError, require_finite, require_integer,
+                           require_nonnegative, require_positive, require_unit_interval)
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
 
@@ -56,13 +57,10 @@ class GndConfig:
     T: int
 
     def __post_init__(self):
-        require_finite(eta=self.eta, s=self.s, f_lb=self.f_lb)
-        if not self.eta > 0:
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        if self.s < 0:
-            raise ParameterError(f"s must be nonnegative, got {self.s}")
-        if self.T < 0 or self.T != int(self.T):
-            raise ParameterError(f"T must be a nonnegative integer, got {self.T}")
+        require_positive(eta=self.eta)
+        require_nonnegative(s=self.s)
+        require_finite(f_lb=self.f_lb)
+        require_integer(0, T=self.T)
 
 
 @dataclass(frozen=True)
@@ -85,16 +83,11 @@ class DlGndConfig:
     T2: int
 
     def __post_init__(self):
-        require_finite(eta=self.eta, s=self.s, f_lb0=self.f_lb0)
-        if not self.eta > 0:
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        if self.s < 0:
-            raise ParameterError(f"s must be nonnegative, got {self.s}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        for name, v in (("N", self.N), ("T1", self.T1), ("T2", self.T2)):
-            if v < 1 or v != int(v):
-                raise ParameterError(f"{name} must be a positive integer, got {v}")
+        require_positive(eta=self.eta)
+        require_nonnegative(s=self.s)
+        require_finite(f_lb0=self.f_lb0)
+        require_unit_interval(gamma=self.gamma)
+        require_integer(1, N=self.N, T1=self.T1, T2=self.T2)
 
     @property
     def total_iterations(self) -> int:
@@ -130,8 +123,7 @@ class DlGndTrace:
 
 def sigma_of(eta: float, s: float, f_half: float, f_lb: float):
     """Adaptive noise level sqrt(eta * s * (f_half - f_lb)^+); accepts arrays."""
-    if not eta > 0:
-        raise ParameterError(f"eta must be positive, got {eta}")
+    require_positive(eta=eta)
     if np.any(np.asarray(s) < 0):
         raise ParameterError(f"s must be nonnegative, got {s}")
     return np.sqrt(eta * s * np.maximum(np.asarray(f_half) - f_lb, 0.0))

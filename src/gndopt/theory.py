@@ -30,8 +30,10 @@ from typing import Optional
 import numpy as np
 
 from gndopt.errors import (ConstraintNotCheckableError, GateViolationError, ParameterError,
-                           require_finite)
+                           require_finite, require_integer, require_nonnegative,
+                           require_positive, require_unit_interval)
 from gndopt.objectives import Objective
+from gndopt.sampling import RngStream
 
 Array = np.ndarray
 
@@ -97,21 +99,27 @@ class ConditionCheck:
     parameter: Optional[float | tuple[float, float]]
 
 
+def _require_certificate(alpha, L) -> None:
+    require_positive(alpha=alpha)
+    require_finite(L=L)
+    if not L >= alpha:
+        raise ParameterError(f"L must be at least alpha, got L={L} < alpha={alpha}")
+
+
+def _require_log_range(lo, hi) -> None:
+    require_finite(lo=lo, hi=hi)
+    if not 0.0 < lo < hi:
+        raise ParameterError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+
+
 def gnd_schedule(alpha: float, L: float, r: float, f_gap: float) -> Schedule:
     """Default (eta, s) schedule plus derived constants for a certified objective.
 
     ``f_gap = f* - f_lb >= 0`` is the lower-bound slack the run will operate
     with; together with the oracle deviation r it determines b.
     """
-    require_finite(alpha=alpha, L=L, r=r, f_gap=f_gap)
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if L < alpha:
-        raise ParameterError(f"L must be at least alpha, got L={L} < alpha={alpha}")
-    if r < 0:
-        raise ParameterError(f"r must be nonnegative, got {r}")
-    if f_gap < 0:
-        raise ParameterError(f"f_gap must be nonnegative, got {f_gap}")
+    _require_certificate(alpha, L)
+    require_nonnegative(r=r, f_gap=f_gap)
     eta = 2.0 * alpha / (5.0 * L * L)
     lam = 2.0 * alpha - eta * L * L
     s = lam / (3.0 * L)
@@ -129,13 +137,12 @@ def gnd_iteration_bound(sched: Schedule, y0_dist_sq: float, zeta: float,
     is the noise floor 200b, ``eps`` is ignored, and the bound is
     ``200/(eta*lam) * ln(||y0 - x*||^2 / (100*b*zeta))``.
     """
-    if not (0.0 < zeta < 1.0):
-        raise ParameterError(f"zeta must lie in (0, 1), got {zeta}")
-    if not y0_dist_sq > 0:
-        raise ParameterError(f"y0_dist_sq must be positive, got {y0_dist_sq}")
+    require_unit_interval(zeta=zeta)
+    require_positive(y0_dist_sq=y0_dist_sq)
     if sched.b == 0.0:
-        if eps is None or not eps > 0:
-            raise ParameterError(f"eps must be positive when b = 0, got {eps}")
+        if eps is None:
+            raise ParameterError("eps must be positive when b = 0, got None")
+        require_positive(eps=eps)
         t = 100.0 / sched.eta_lam * math.log(y0_dist_sq / (zeta * eps))
     else:
         t = 200.0 / sched.eta_lam * math.log(y0_dist_sq / (100.0 * sched.b * zeta))
@@ -149,20 +156,13 @@ def dlgnd_schedule(alpha: float, L: float, r: float, eps: float, zeta: float,
     ``f_gap0 = f* - f_lb^0 > 0`` is the initial lower-bound slack and ``beta``
     the (upper-bounded) surrogate deviation, which must stay below alpha.
     """
-    require_finite(alpha=alpha, L=L, r=r, eps=eps, zeta=zeta, f_gap0=f_gap0,
-                   y0_dist_sq=y0_dist_sq, beta=beta)
-    if beta < 0:
-        raise ParameterError(f"beta must be nonnegative, got {beta}")
+    require_finite(alpha=alpha, L=L, r=r)
+    require_nonnegative(beta=beta)
     if beta >= alpha:
         raise GateViolationError(f"beta must stay below alpha, got beta={beta} >= alpha={alpha}")
-    if not f_gap0 > 0:
-        raise ParameterError(f"f_gap0 must be positive, got {f_gap0}")
-    if not eps > 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-    if not (0.0 < zeta < 1.0):
-        raise ParameterError(f"zeta must lie in (0, 1), got {zeta}")
-    if not y0_dist_sq > 0:
-        raise ParameterError(f"y0_dist_sq must be positive, got {y0_dist_sq}")
+    require_positive(f_gap0=f_gap0, eps=eps)
+    require_unit_interval(zeta=zeta)
+    require_positive(y0_dist_sq=y0_dist_sq)
 
     base = gnd_schedule(alpha, L, r, f_gap0)
     b0 = base.b
@@ -191,14 +191,11 @@ def check_eta_constraint(eta: float, s: float, alpha: float, L: float,
     check degenerates to 2*alpha - eta*L^2 > 0).  ``s = 0`` with ``beta > 0``
     is indeterminate (the radical divides by zero) and raises.
     """
+    require_positive(alpha=alpha, L=L)
     if not (0.0 < eta < 2.0 * alpha / (L * L)):
         raise ParameterError(f"eta must lie in (0, 2*alpha/L^2), got {eta}")
-    if s < 0:
-        raise ParameterError(f"s must be nonnegative, got {s}")
-    if beta < 0:
-        raise ParameterError(f"beta must be nonnegative, got {beta}")
-    if d < 1 or d != int(d):
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    require_nonnegative(s=s, beta=beta)
+    require_integer(1, d=d)
     rhs = 2.0 * alpha - eta * L * L - s * L / 2.0
     if beta == 0.0:
         return rhs > 0.0 if s == 0.0 else rhs >= 0.0
@@ -214,12 +211,8 @@ def check_eta_constraint(eta: float, s: float, alpha: float, L: float,
 
 def nearly_convex_gate(alpha: float, L: float, d: int) -> float:
     """Admissible threshold (1/4) * sqrt(alpha^5 / (d * L^3)) for the surrogate deviation."""
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if L < alpha:
-        raise ParameterError(f"L must be at least alpha, got L={L} < alpha={alpha}")
-    if d < 1 or d != int(d):
-        raise ParameterError(f"d must be a positive integer, got {d}")
+    _require_certificate(alpha, L)
+    require_integer(1, d=d)
     return 0.25 * math.sqrt(alpha**5 / (d * L**3))
 
 
@@ -246,8 +239,7 @@ def estimate_beta_quadratic(objective: Objective, alpha: float, grid) -> float:
     so this is a valid upper bound on the deviation infimum restricted to the
     grid, and is reported as such.
     """
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    require_positive(alpha=alpha)
     grid, _, r2 = _grid_and_diffs(objective, grid)
     fv = np.atleast_1d(objective.value(grid)) - objective.min_value
     return float(np.max(2.0 * np.abs(fv - 0.5 * alpha * r2) / r2))
@@ -301,10 +293,8 @@ def j2_condition_table(eps: float, R: float) -> list[ConditionCheck]:
     denominator, which occur at different phases (0.670 against 0.7846 at
     eps = 0.1, R = 1).
     """
-    if not (0.0 < eps < 1.0):
-        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    if not R > 0:
-        raise ParameterError(f"R must be positive, got {R}")
+    require_unit_interval(eps=eps)
+    require_positive(R=R)
     t = eps * math.sqrt(1.0 + R * R)
     t_sc = eps * math.sqrt(1.0 + 5.0 * R**2 + 4.0 * R**4)
     rows = [
@@ -335,8 +325,7 @@ def barrier_check(objective: Objective, x_hat, radius: float,
     d = objective.dim
     if d not in (1, 2):
         raise ParameterError(f"barrier check supports d in {{1, 2}}, got d={d}")
-    if not radius > 0:
-        raise ParameterError(f"radius must be positive, got {radius}")
+    require_positive(radius=radius)
     alpha, L = _certified(objective, alpha, L)
     x_hat = np.asarray(x_hat, dtype=np.float64).reshape(d)
     dist = math.sqrt(float(np.sum((x_hat - objective.minimizer) ** 2)))
@@ -364,26 +353,17 @@ def stopping_time_bound(theta: float, b: float, ell: float, M: int, B: float) ->
     theta in (0, 1) and almost-sure floor -b; B is E[X_0 * 1{X_0 >= ell}].
     The bound may be negative, in which case it is vacuous.
     """
-    require_finite(b=b, ell=ell, B=B)
-    if not (0.0 < theta < 1.0):
-        raise ParameterError(f"theta must lie in (0, 1), got {theta}")
-    if not b > 0:
-        raise ParameterError(f"b must be positive, got {b}")
-    if not ell > 0:
-        raise ParameterError(f"ell must be positive, got {ell}")
-    if M < 0 or M != int(M):
-        raise ParameterError(f"M must be a nonnegative integer, got {M}")
-    if B < 0:
-        raise ParameterError(f"B must be nonnegative, got {B}")
+    require_unit_interval(theta=theta)
+    require_positive(b=b, ell=ell)
+    require_integer(0, M=M)
+    require_nonnegative(B=B)
     return 1.0 - ((b + theta * ell) / (b + ell)) ** int(M) * (B / ell)
 
 
 def symmetric_log_grid(lo: float = 1e-6, hi: float = 10.0, num: int = 50_000) -> Array:
     """Sign-symmetric log-spaced 1-d grid (2*num points, the origin excluded)."""
-    if not (0.0 < lo < hi):
-        raise ParameterError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if num < 2:
-        raise ParameterError(f"num must be at least 2, got {num}")
+    _require_log_range(lo, hi)
+    require_integer(2, num=num)
     g = np.geomspace(lo, hi, int(num))
     return np.concatenate([-g[::-1], g])[:, None]
 
@@ -391,9 +371,9 @@ def symmetric_log_grid(lo: float = 1e-6, hi: float = 10.0, num: int = 50_000) ->
 def ball_shell_grid(objective: Objective, lo: float, hi: float, num: int,
                     seed: int = 0) -> Array:
     """Seeded log-radial sample around the minimizer for d >= 2 objectives."""
-    if not (0.0 < lo < hi):
-        raise ParameterError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    _require_log_range(lo, hi)
+    require_integer(1, num=num)
+    rng = RngStream(seed, 0).generator
     radii = np.geomspace(lo, hi, int(num))
     dirs = rng.standard_normal((int(num), objective.dim))
     dirs /= np.sqrt(np.sum(dirs * dirs, axis=-1, keepdims=True))

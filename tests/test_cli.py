@@ -84,6 +84,33 @@ class TestCheck:
         pairs = dict(line.split("=") for line in out.strip().splitlines())
         assert float(pairs["mu_r_hat"]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("flags,message", [
+        (["quadratic", "--alpha", "1", "--L", "nan"], "L must be finite, got nan"),
+        (["quadratic", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["j1", "--n", "112", "--k", "2", "--grid-hi", "inf"], "--grid-hi must be finite, got inf"),
+        (["rastrigin", "--a", "inf", "--b", "1", "--c", "1", "--d", "2", "--alpha", "1",
+          "--L", "2"], "a must be finite, got inf"),
+        (["j1", "--n", "7", "--k", "1", "--grid-points", "3"],
+         "--grid-points must be an integer >= 4, got 3"),
+        (["j1", "--n", "7", "--k", "1", "--grid-points", "0"],
+         "--grid-points must be an integer >= 4, got 0"),
+        (["quadratic", "--alpha", "1", "--d", "2", "--grid-points", "0"],
+         "--grid-points must be a positive integer, got 0"),
+        (["quadratic", "--n", "5"], "objective 'quadratic' got unknown keys ['n']"),
+        (["j1", "--n", "112", "--k", "2", "--d", "3"], "objective 'j1' got unknown keys ['dim']"),
+    ], ids=["L-nan", "alpha-inf", "grid-hi-inf", "rastrigin-a-inf", "grid-points-3-d1",
+            "grid-points-0-d1", "grid-points-0-d2", "n-unread-by-quadratic", "d-unread-by-j1"])
+    def test_bad_input_is_exit_1(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "check", "--function", *flags)
+        assert code == 1
+        assert err == f"gndopt: {message}\n"
+        assert out == ""
+
+    def test_fewest_grid_points(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--function", "quadratic", "--grid-points", "4")
+        assert code == 0
+        assert "n_points=4\n" in out
+
 
 class TestMoments:
     def test_small_draw_run(self, capsys):
@@ -229,6 +256,18 @@ class TestRun:
             name = f"j1-7-1-{algo}{suffix}"
             assert (rerun / name).read_bytes() == (bench / name).read_bytes()
 
+    @pytest.mark.parametrize("objective,message", [
+        ('function = "rastrigin"\na = 1\nb = 1\nc = inf\ndim = 2\n', "c must be finite, got inf"),
+        ('function = "quadratic"\nalpha = inf\ndim = 2\n', "alpha must be finite, got inf"),
+        ('function = "j2"\neps = 0.1\nR = inf\n', "R must be finite, got inf"),
+    ], ids=["rastrigin-c", "quadratic-alpha", "j2-R"])
+    def test_non_finite_objective_parameter_is_exit_1(self, capsys, tmp_path, objective, message):
+        cfg = tmp_path / "exp.toml"
+        cfg.write_text(f"[objective]\n{objective}\n[experiment]\ntrials = 4\nT = 5\n")
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out", str(tmp_path), "--quiet")
+        assert code == 1
+        assert err == f"gndopt: {message}\n"
+
     def test_bad_algorithm_is_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "exp.toml"
         cfg.write_text('[objective]\nfunction = "j1"\nn = 7\nk = 1\n\n'
@@ -303,7 +342,7 @@ class TestBench:
                        '[objective]\nfunction = "j1"\nn = 7\nk = 1\n')
         code, _, err = run_cli(capsys, "run", str(cfg), "--out", str(tmp_path), "--quiet")
         assert code == 1
-        assert "init box" in err
+        assert err == "gndopt: init_low must be finite, got nan\n"
 
     def test_dlgnd_bench_runs(self, capsys, tmp_path):
         out = tmp_path / "out"
@@ -388,13 +427,18 @@ def _parses(cast, raw):
     return True
 
 
+def _types(sections, section):
+    if section == "algorithm":
+        return {"algorithm": str, **_SCHEMA[sections["algorithm"]["algorithm"]]}
+    return _SCHEMA[section]
+
+
 @settings(max_examples=40, deadline=None)
 @given(_accepted_configs(), st.data())
 def test_unknown_key_or_unparseable_value_is_exit_1(sections, data):
     section = data.draw(st.sampled_from(sorted(sections)))
     values = sections[section]
-    types = ({"algorithm": str, **_SCHEMA[values["algorithm"]]} if section == "algorithm"
-             else _SCHEMA[section])
+    types = _types(sections, section)
     numeric = [key for key in values if types[key] is not str]
     if not numeric or data.draw(st.booleans()):
         key = data.draw(st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,7}", fullmatch=True)
@@ -406,6 +450,19 @@ def test_unknown_key_or_unparseable_value_is_exit_1(sections, data):
     code, err, _ = _run_config(sections)
     assert code == 1
     assert err.startswith("gndopt: ") and key in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(_accepted_configs(), st.data())
+def test_non_finite_float_key_is_exit_1(sections, data):
+    section, key = data.draw(st.sampled_from([
+        (section, key) for section, values in sections.items() for key in values
+        if _types(sections, section)[key] is float]))
+    bad = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+    sections[section][key] = bad
+    code, err, _ = _run_config(sections)
+    assert code == 1
+    assert err == f"gndopt: {key} must be finite, got {bad}\n"
 
 
 def test_module_entry_point():
