@@ -7,10 +7,12 @@ Aggregation is a fold in trial order inside the kernel: after each step, the
 block's squared distances are added row by row into that iteration's running
 sum (and counted into its running miss count) and then dropped, so memory
 grows with neither the trial count nor, beyond those two sums, the iteration
-count.  Adding rows in trial order is exactly what ``mean(axis=0)`` over the
-full trials x (T+1) matrix would do, so the output bytes do not depend on the
-row-block size.  Diverged trajectories abort the whole experiment (silently
-dropping them would bias the error statistics).
+count.  Adding rows in trial order is what ``mean(axis=0)`` over the full
+trials x (T+1) matrix does, so the output bytes do not depend on the row-block
+size.  The shadow-distance checks (``contraction_check``, ``stopping_time_check``)
+fold the same way: ``_ShadowFold`` keeps per-t sums and per-trial start and
+minimum.  Diverged trajectories abort the whole experiment (silently dropping
+them would bias the error statistics).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from gndopt.errors import (ParameterError, require_finite, require_integer, requ
                            require_positive)
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
-from gndopt.solver import DlGndConfig, GndConfig, _dlgnd_stages, _Fold, _run_gnd_batch, _Shadow
+from gndopt.solver import (DlGndConfig, GndConfig, _add_in_trial_order, _check_gradients,
+                           _dlgnd_stages, _Fold, _run_gnd_batch)
 from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
 
 Array = np.ndarray
@@ -143,13 +146,46 @@ def run_monte_carlo(cfg: ExperimentConfig) -> StatsSeries:
                        trials=cfg.trials)
 
 
-def _shadow_distances(objective: Objective, r: float, x0, T: int, trials: int, seed: int,
-                      use) -> Schedule:
-    """Call ``use(t, d2)`` with each t's squared shadow distances ||y_t - x*||^2, one per trial.
+class _ShadowFold:
+    """Per-t sums of d2_t = ||y_t - x*||^2, y_t = x_t - eta*grad f(x_t), over all trials at once.
 
-    The fixed-x0 GND ensemble uses the certified schedule with the exact
-    optimum as lower bound, so the schedule's b reduces to the oracle term
-    eta*r^2/lam.  Columns 1..T come in order during the run, column 0 after it.
+    ``add(t, x)`` evaluates and guards grad f(x_t) as iteration t, then folds the
+    two passes of ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` over the trials x
+    (T+1) matrix: d2_t into ``total[t]``, then (d2_t - total[t]/trials)^2 into
+    ``dev2[t]``.  Per trial it keeps d2_0 (``start``) and the running minimum (``least``).
+    """
+
+    def __init__(self, objective, eta, width):
+        self.objective, self.eta = objective, eta
+        self.total, self.dev2 = np.zeros(width), np.zeros(width)
+        self.start, self.least = None, np.inf
+
+    def add(self, t, x):
+        g = self.objective.gradient(x)
+        _check_gradients(g, t, 0)
+        diff = x - self.eta * g - self.objective.minimizer
+        d2 = np.add.reduce(diff * diff, axis=-1)
+        self._sum_into(self.total, t, d2)
+        dev = d2 - self.total[t] / len(d2)
+        self._sum_into(self.dev2, t, dev * dev)
+        self.least = np.minimum(self.least, d2)
+        if t == 0:
+            self.start = d2
+
+    @staticmethod
+    def _sum_into(sums, t, rows):
+        if len(sums) > 1:
+            _add_in_trial_order(sums, t, rows)
+        else:  # numpy reduces a one-column matrix (T = 0) pairwise
+            sums[t] = np.add.reduce(rows)
+
+
+def _shadow_fold(objective: Objective, r: float, x0, T: int, trials: int,
+                 seed: int) -> tuple[_ShadowFold, Schedule]:
+    """Run the fixed-x0 GND ensemble in one kernel call through a :class:`_ShadowFold`.
+
+    The certified schedule with f_lb = f* reduces b to the oracle term eta*r^2/lam.
+    Column 0 is folded after the run, so every iteration guards its value first.
     """
     if objective.certificate is None:
         raise ParameterError("a certified objective is required")
@@ -162,16 +198,11 @@ def _shadow_distances(objective: Objective, r: float, x0, T: int, trials: int, s
         raise ParameterError("x0 must be finite")
     x0_rows = np.tile(x0, (int(trials), 1))
     rngs = [RngStream(seed, i) for i in range(int(trials))]
-
-    def distances(t, y):
-        diff = y - objective.minimizer
-        use(t, np.sum(diff * diff, axis=-1))
-
-    shadow = _Shadow(objective, sched.eta, distances, trial_base=0)
-    _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs, fold=shadow,
+    fold = _ShadowFold(objective, sched.eta, T + 1)
+    _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs, fold=fold,
                    trial_base=0)
-    shadow.add(0, x0_rows)
-    return sched
+    fold.add(0, x0_rows)
+    return fold, sched
 
 
 def contraction_check(objective: Objective, r: float, trials: int, x0, T: int,
@@ -182,23 +213,15 @@ def contraction_check(objective: Objective, r: float, trials: int, x0, T: int,
     ``slack * ((1 - eta*lam/100)^t * ||y0 - x*||^2 + 100*b)`` plus three
     standard errors of the ensemble mean, at every t.
     """
-    ydist2 = None
-
-    def keep(t, d2):
-        nonlocal ydist2
-        if ydist2 is None:  # allocated once trials has passed the checks
-            ydist2 = np.empty((len(d2), T + 1))
-        ydist2[:, t] = d2
-
-    sched = _shadow_distances(objective, r, x0, T, trials, seed, keep)
-    means = ydist2.mean(axis=0)
+    fold, sched = _shadow_fold(objective, r, x0, T, trials, seed)
+    means = fold.total / trials
     if trials > 1:
-        se = ydist2.std(axis=0, ddof=1) / math.sqrt(trials)
+        se = np.sqrt(fold.dev2 / (trials - 1)) / math.sqrt(trials)
     else:
         se = np.zeros_like(means)
     rho = 1.0 - sched.eta_lam / 100.0
     t = np.arange(T + 1)
-    bounds = slack * (rho**t * ydist2[0, 0] + 100.0 * sched.b) + 3.0 * se
+    bounds = slack * (rho**t * fold.start[0] + 100.0 * sched.b) + 3.0 * se
     margins = bounds - means
     bad = margins < 0.0
     first = int(np.argmax(bad)) if bad.any() else None
@@ -219,21 +242,13 @@ def stopping_time_check(objective: Objective, r: float, ell: float, M: int,
     require_positive(r=r)
     require_finite(ell=ell)
     require_integer(0, M=M)
-    start, least = None, np.inf
-
-    def track(t, d2):
-        nonlocal start, least
-        least = np.minimum(least, d2)
-        if t == 0:
-            start = d2
-
-    sched = _shadow_distances(objective, r, x0, int(M), trials, seed, track)
+    fold, sched = _shadow_fold(objective, r, x0, int(M), trials, seed)
     floor = 100.0 * sched.b
     theta = 1.0 - sched.eta_lam / 100.0
     # Rounding x - floor is monotone in x, so the running minimum dips below
     # ell exactly when some X_t does.
-    empirical = float(np.count_nonzero(least - floor < ell) / trials)
-    x0_vals = start - floor
+    empirical = float(np.count_nonzero(fold.least - floor < ell) / trials)
+    x0_vals = fold.start - floor
     b_hat = float(np.mean(x0_vals * (x0_vals >= ell)))
     analytic = stopping_time_bound(theta, floor, ell, int(M), b_hat)
     return StoppingTimeReport(empirical_p=empirical, analytic_bound=analytic,

@@ -12,14 +12,13 @@ attaining the minimum recorded value over x_0..x_T (half-step values are
 recorded for the noise bookkeeping but never enter t*).
 
 Cost per iteration: one gradient evaluation (at x_t) and two value evaluations
-(at x_{t+1/2} and x_{t+1}).  The shadow iterates y_t = x_t - eta*grad f(x_t)
-are a fold (``_Shadow``) that evaluates its own gradient at each x_t, so they
-cost one more gradient evaluation per iteration.
+(at x_{t+1/2} and x_{t+1}).  ``gnd_run`` forms the shadow iterates
+y_t = x_t - eta*grad f(x_t) from its recorded points, in one gradient call.
 
 All runners drive the same batched kernel, so a single trajectory is bitwise
 identical to the corresponding row of an ensemble run with the same stream.
-An ensemble's statistics are folded inside the kernel, step by step (``_Fold``,
-``_Shadow``).
+An ensemble's statistics are folded inside the kernel, step by step, with sums
+over trials added in trial order (``_Fold``, ``_add_in_trial_order``).
 The double loop has one batched implementation, ``_dlgnd_stages``, with a
 lower bound per row; ``dlgnd_run`` is its one-row case.  Its iterations are
 numbered across the whole run: outer loop nu >= 1 starts at T1 + (nu-1)*T2.
@@ -124,8 +123,10 @@ class DlGndTrace:
 def sigma_of(eta: float, s: float, f_half: float, f_lb: float):
     """Adaptive noise level sqrt(eta * s * (f_half - f_lb)^+); accepts arrays."""
     require_positive(eta=eta)
-    if np.any(np.asarray(s) < 0):
-        raise ParameterError(f"s must be nonnegative, got {s}")
+    for s_i in np.ravel(s):
+        require_nonnegative(s=s_i)
+    for f_lb_i in np.ravel(f_lb):
+        require_finite(f_lb=f_lb_i)
     return np.sqrt(eta * s * np.maximum(np.asarray(f_half) - f_lb, 0.0))
 
 
@@ -155,12 +156,18 @@ def _check_gradients(g, t, base):
         _diverged(norm2 <= _GUARD_LIMIT_SQ, t, base, GRADIENT)
 
 
-class _Fold:
-    """Per-iteration sums of squared distances to x_star, and counts of those above thr2.
+def _add_in_trial_order(sums, t, rows):
+    """Add ``rows`` into ``sums[t]`` one at a time, first row first.
 
-    ``add(t, x)`` adds the rows of x into column t one at a time in row order,
-    as ``mean(axis=0)`` adds a matrix's rows, so row blocking cannot change a bit.
+    This is the order in which ``mean(axis=0)`` adds the rows of a matrix of
+    two or more columns, so the bytes of a sum do not depend on row blocking.
     """
+    acc = np.concatenate((sums[t : t + 1], rows))
+    sums[t] = np.add.accumulate(acc, out=acc)[-1]
+
+
+class _Fold:
+    """Per-iteration sums of squared distances to x_star, and counts of those above thr2."""
 
     def __init__(self, x_star, thr2, width):
         self.x_star, self.thr2 = x_star, thr2
@@ -171,25 +178,7 @@ class _Fold:
         diff = x - self.x_star
         d2 = np.add.reduce(diff * diff, axis=-1)
         self.misses[t] += np.count_nonzero(d2 > self.thr2)
-        acc = np.concatenate((self.total[t : t + 1], d2))
-        self.total[t] = np.add.accumulate(acc, out=acc)[-1]
-
-
-class _Shadow:
-    """Shadow iterates y_t = x_t - eta*grad f(x_t) of each row, passed on as ``use(t, y)``.
-
-    ``add(t, x)`` evaluates and guards grad f(x_t) as iteration t.  The kernel
-    folds x_t after guarding f(x_t), so each iteration keeps the order value,
-    then gradient; the caller adds column 0 after the run for the same reason.
-    """
-
-    def __init__(self, objective, eta, use, trial_base=None):
-        self.objective, self.eta, self.use, self.trial_base = objective, eta, use, trial_base
-
-    def add(self, t, x):
-        g = self.objective.gradient(x)
-        _check_gradients(g, t, self.trial_base)
-        self.use(t, x - self.eta * g)
+        _add_in_trial_order(self.total, t, d2)
 
 
 def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, col=0,
@@ -282,22 +271,20 @@ def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig, rng: Rng
             record_y: bool = False) -> Trajectory:
     """Run GND for cfg.T iterations from x0, recording the full trajectory.
 
-    With ``record_y=True`` the shadow iterates are recorded through ``_Shadow``.
+    With ``record_y=True`` the shadow iterates y_t = x_t - eta*grad f(x_t) are
+    formed from the recorded points.  The kernel has guarded grad f(x_t) for
+    t < T; grad f(x_T) is guarded here as iteration T.
     """
     x0 = _as_x0(objective, x0)[None, :]
-    ys = np.empty((cfg.T + 1, 1, objective.dim)) if record_y else None
-    shadow = _Shadow(objective, cfg.eta, ys.__setitem__) if record_y else None
-    res = _run_gnd_batch(objective, oracle, x0, cfg, [rng], fold=shadow, record=True)
+    res = _run_gnd_batch(objective, oracle, x0, cfg, [rng], record=True)
+    points, y_points = res.points[0], None
     if record_y:
-        shadow.add(0, x0)
-    return Trajectory(
-        points=res.points[0],
-        values=res.values[0],
-        sigmas=res.sigmas[0],
-        half_values=res.half_values[0],
-        y_points=ys[:, 0] if record_y else None,
-        t_star=int(res.t_star[0]),
-    )
+        g = objective.gradient(points)
+        _check_gradients(g[-1:], cfg.T, None)
+        y_points = points - cfg.eta * g
+    return Trajectory(points=points, values=res.values[0], sigmas=res.sigmas[0],
+                      half_values=res.half_values[0], y_points=y_points,
+                      t_star=int(res.t_star[0]))
 
 
 def gd_run(objective: Objective, oracle: SgOracle, x0, eta: float, T: int,

@@ -32,7 +32,7 @@ import numpy as np
 from gndopt.errors import (ConstraintNotCheckableError, GateViolationError, ParameterError,
                            require_finite, require_integer, require_nonnegative,
                            require_positive, require_unit_interval)
-from gndopt.objectives import Objective
+from gndopt.objectives import Objective, make_j2
 from gndopt.sampling import RngStream
 
 Array = np.ndarray
@@ -286,31 +286,23 @@ def j2_condition_table(eps: float, R: float) -> list[ConditionCheck]:
     """Which regularity conditions the j2(eps, R) objective satisfies, with parameters.
 
     Rows: strong convexity, restricted secant, gradient dominance, quadratic
-    growth, nearly convex.  The nearly-convex row reports the (alpha, L) pair
-    of the first admissibility range that holds.  The PL parameter
+    growth, nearly convex.  The nearly-convex row is the certificate of
+    :func:`make_j2`: the (alpha, L) pair of the first admissible range.  The PL parameter
     ``(1 - eps*sqrt(1+R^2))^2/(1+eps)`` is a valid constant but not the infimum
     of ``f'^2/(2(f-f*))``: it pairs the smallest numerator and the largest
     denominator, which occur at different phases (0.670 against 0.7846 at
     eps = 0.1, R = 1).
     """
-    require_unit_interval(eps=eps)
-    require_positive(R=R)
+    certificate = make_j2(eps, R).certificate
     t = eps * math.sqrt(1.0 + R * R)
     t_sc = eps * math.sqrt(1.0 + 5.0 * R**2 + 4.0 * R**4)
-    rows = [
+    return [
         ConditionCheck("SC", t_sc < 1.0, 1.0 - t_sc if t_sc < 1.0 else None),
         ConditionCheck("RSI", t < 1.0, 1.0 - t if t < 1.0 else None),
         ConditionCheck("PL", t < 1.0, (1.0 - t) ** 2 / (1.0 + eps) if t < 1.0 else None),
         ConditionCheck("QG", True, 1.0 - eps),
+        ConditionCheck("NC", certificate is not None, certificate),
     ]
-    nc_second = 4.0 * eps * (1.0 + t) ** 1.5 <= 1.0
-    if t < 1.0:
-        rows.append(ConditionCheck("NC", True, (1.0 - t, 1.0 + t)))
-    elif nc_second:
-        rows.append(ConditionCheck("NC", True, (1.0, 1.0 + t)))
-    else:
-        rows.append(ConditionCheck("NC", False, None))
-    return rows
 
 
 def barrier_check(objective: Objective, x_hat, radius: float,
@@ -328,6 +320,8 @@ def barrier_check(objective: Objective, x_hat, radius: float,
     require_positive(radius=radius)
     alpha, L = _certified(objective, alpha, L)
     x_hat = np.asarray(x_hat, dtype=np.float64).reshape(d)
+    for x_i in x_hat:
+        require_finite(x_hat=x_i)
     dist = math.sqrt(float(np.sum((x_hat - objective.minimizer) ** 2)))
     if radius >= dist:
         raise ParameterError(

@@ -230,10 +230,10 @@ class TestMemory:
         base = self._shadow_peak("stopping_time", 120)
         assert self._shadow_peak("stopping_time", 1200) <= base * 1.02
 
-    def test_contraction_peak_grows_only_by_its_distance_matrix(self):
+    def test_contraction_peak_does_not_grow_with_iterations(self):
         self._shadow_peak("contraction", 5)  # first-call allocations
-        growth = self._shadow_peak("contraction", 1200) - self._shadow_peak("contraction", 120)
-        assert growth <= 1.1 * 8 * 256 * (1200 - 120)
+        base = self._shadow_peak("contraction", 120)
+        assert self._shadow_peak("contraction", 1200) <= base * 1.02
 
 
 class TestContractionCheck:
@@ -251,6 +251,28 @@ class TestContractionCheck:
         assert rep.schedule.b == pytest.approx(0.25, rel=1e-15)
         # long-run mean stays under the slackened asymptote 1.1*100b + 3 SE
         assert rep.means[-1] <= rep.bounds[-1]
+
+    @pytest.mark.parametrize("trials", [1, 2, 500])
+    @pytest.mark.parametrize("T", [0, 40])
+    def test_bitwise_equal_to_the_distance_matrix(self, trials, T):
+        # The quadratic's gradient is elementwise, so the shape it is evaluated
+        # on cannot change a bit of y.
+        q, r, seed, slack = make_quadratic(1.0, 2), 1.0, 6, 1.1
+        x0 = [5.0, -2.0]
+        rep = contraction_check(q, r=r, trials=trials, x0=x0, T=T, seed=seed, slack=slack)
+        sched = rep.schedule
+        cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=q.min_value, T=T)
+        res = solver._run_gnd_batch(q, SgOracle(q, r), np.tile(x0, (trials, 1)), cfg,
+                                    [RngStream(seed, i) for i in range(trials)], record=True)
+        diff = res.points - sched.eta * q.gradient(res.points) - q.minimizer
+        d2 = np.sum(diff * diff, axis=-1)  # (trials, T+1)
+        means = d2.mean(axis=0)
+        se = d2.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(T + 1)
+        rho = 1.0 - sched.eta_lam / 100.0
+        bounds = slack * (rho ** np.arange(T + 1) * d2[0, 0] + 100.0 * sched.b) + 3.0 * se
+        assert np.array_equal(rep.means, means)
+        assert np.array_equal(rep.bounds, bounds)
+        assert np.array_equal(rep.margins, bounds - means)
 
     def test_t_zero_trivially_true(self):
         q = make_quadratic(1.0, 1)

@@ -13,8 +13,7 @@ from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, dlgnd_run, gd_run, gnd_run,
                     j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
                     run_monte_carlo, sigma_of, solver, stopping_time_check)
-from gndopt.solver import (GUARD_LIMIT, _dlgnd_stages, _Fold, _run_dlgnd_batch, _run_gnd_batch,
-                           _Shadow)
+from gndopt.solver import GUARD_LIMIT, _dlgnd_stages, _Fold, _run_dlgnd_batch, _run_gnd_batch
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,16 +158,14 @@ class TestEnsembleKernel:
         cfg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=30)
         x0s = np.array([[8.0], [-4.0], [2.5], [0.1]])
         rngs = [RngStream(21, i) for i in range(4)]
-        ys = np.empty((cfg.T + 1, 4, 1))
-        shadow = _Shadow(j1, cfg.eta, ys.__setitem__)
-        res = _run_gnd_batch(j1, oracle, x0s, cfg, rngs, fold=shadow, record=True)
-        shadow.add(0, x0s)
+        res = _run_gnd_batch(j1, oracle, x0s, cfg, rngs, record=True)
+        ys = res.points - cfg.eta * j1.gradient(res.points)
         for i in range(4):
             single = gnd_run(j1, oracle, x0s[i], cfg, RngStream(21, i), record_y=True)
             assert np.array_equal(res.points[i], single.points)
             assert np.array_equal(res.values[i], single.values)
             assert np.array_equal(res.sigmas[i], single.sigmas)
-            assert np.array_equal(ys[:, i], single.y_points)
+            assert np.array_equal(ys[i], single.y_points)
             assert res.t_star[i] == single.t_star
 
     def test_divergence_reports_trial_and_iteration(self):
@@ -222,6 +219,14 @@ class TestDivergenceGuard:
                            record=record, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
         assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
+
+    def test_record_y_guards_the_gradient_at_the_last_point(self):
+        # gnd_run's gradient call T is the record_y call on x_0..x_T; rows 3 and up include x_T.
+        q = _poisoned(make_quadratic(1.0, 1), "gradient", 6, np.nan)
+        cfg = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=6)
+        with pytest.raises(DivergedError) as err:
+            gnd_run(q, SgOracle(q, 0.3), [2.0], cfg, RngStream(0, 0), record_y=True)
+        assert (err.value.trial, err.value.iteration, err.value.quantity) == (None, 6, "gradient")
 
     # On the shadow path of M iterations, gradient call 2t is the step's grad f(x_t),
     # call 2t+1 the shadow's grad f(x_{t+1}), and call 2M the shadow's grad f(x_0).
