@@ -152,8 +152,10 @@ def make_j1(n: int, k: int) -> Objective:
     (the sin(jx)^2 form of (cos(2jx) - 1)/2 avoids cancellation near 0, where
     the integrand is O(x^{2n+2}) and the naive difference of cosines would
     leave absolute 1e-16 noise on the x^2-relative scale).  This keeps solver
-    loops quadrature-free and is stable for n in the hundreds.  The gradient
-    is exact: x * (1 - (1 + 1/k) * sin(x)^{2n}).
+    loops quadrature-free and is stable for n in the hundreds.  One table of
+    sin(jx), j = 1..n, also holds sin(2jx) for j <= n/2 (at 2j), so a value
+    costs 1.5n sines and no third (..., n) buffer.  The gradient is exact:
+    x * (1 - (1 + 1/k) * sin(x)^{2n}).
 
     Stationary points sit at ``j*pi +/- arcsin((k/(k+1))^(1/2n))`` besides the
     global minimizer 0; for n >= compute_nk(k) the function is certified
@@ -169,14 +171,20 @@ def make_j1(n: int, k: int) -> Objective:
     w_sq = sign * coeffs.c[1:] / (j * j)
     scale = 1.0 + 1.0 / k
     two_n = 2 * n
+    h = n // 2
 
     def integral(xs):
-        # Two (..., n) buffers reused in place; the products and sums are the
-        # same operations in the same order as the formula above.
+        # Two (..., n) buffers reused in place.  For j <= h, sin(2jx) is read
+        # from the first table at 2j: fl(x*2j) = 2*fl(x*j), doubling being
+        # exact, so only the upper n - h angles are doubled and passed through
+        # sin.  The products and sums are the same operations in the same order
+        # as the formula above.
         ang = xs[..., None] * j
         half_sin = np.sin(ang)
-        np.multiply(ang, 2.0, out=ang)
-        np.sin(ang, out=ang)
+        upper = ang[..., h:]
+        upper *= 2.0
+        np.sin(upper, out=upper)
+        ang[..., :h] = half_sin[..., 1:2 * h:2]
         ang *= w_sin
         sin_sum = np.add.reduce(ang, axis=-1)
         np.multiply(half_sin, w_sq, out=ang)

@@ -43,8 +43,9 @@ class RngStream:
         key = np.array([master_seed, stream_index], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
-    def normals(self, shape) -> Array:
-        return self.generator.standard_normal(shape)
+    def normals(self, shape, out: Array | None = None) -> Array:
+        """Standard normals of ``shape``, written into ``out`` when given (same bits)."""
+        return self.generator.standard_normal(shape, out=out)
 
     def uniforms(self, shape) -> Array:
         return self.generator.random(shape)

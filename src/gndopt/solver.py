@@ -219,7 +219,7 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, co
 
     # Noise for up to `most` iterations, already divided by sqrt(d): one buffer
     # per call of at most _NOISE_BYTES (or of one iteration, if that is more),
-    # refilled stream by stream in draw order.
+    # refilled in place, stream by stream in draw order.
     most = max(1, min(T, _NOISE_BYTES // (8 * m * cols))) if cols else 0
     block = np.empty((m, most, cols)) if cols else None
     span = bpos = 0
@@ -228,7 +228,7 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, co
             span = min(most, T - t)
             fill = block[:, :span]
             for row, rng in enumerate(rngs):
-                fill[row] = rng.normals((span, cols))
+                rng.normals((span, cols), out=fill[row])
             fill /= sqrt_d
             bpos = 0
         g = objective.gradient(x)

@@ -182,10 +182,12 @@ class TestMemory:
 
     def test_peak_does_not_grow_with_trials(self):
         self._peak(20)  # first-call allocations are not part of any run below
-        one_block = self._peak(experiments._CHUNK)
-        # Two blocks and five blocks: no block may outlive its fold.
-        assert self._peak(300) <= one_block * 1.02
-        assert self._peak(1200) <= one_block * 1.02
+        rows = experiments._CHUNK
+        one_block = self._peak(rows)
+        # Three blocks (the last of one row) and five (the last short): no
+        # block may outlive its fold.
+        assert self._peak(2 * rows + 1) <= one_block * 1.02
+        assert self._peak(5 * rows - 3) <= one_block * 1.02
 
     # A short run and one with ten times the iterations.  With r > 0 each
     # iteration draws 20 noise columns per row, so 120 GND iterations of one

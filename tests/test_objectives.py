@@ -130,6 +130,48 @@ class TestJ1:
         assert j1.gradient(np.zeros(1))[0] == 0.0
 
 
+def _two_table_j1_value(x, n, k):
+    """make_j1's value with a second sine table for sin(2jx): the bitwise oracle."""
+    c = fourier_sin_coefficients(n).c
+    j = np.arange(1, n + 1, dtype=np.float64)
+    sign = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
+    w_sin, w_sq = sign * c[1:] / j, sign * c[1:] / (j * j)
+    xs = np.asarray(x, dtype=np.float64)[..., 0]
+    ang = xs[..., None] * j
+    half_sin = np.sin(ang)
+    np.multiply(ang, 2.0, out=ang)
+    np.sin(ang, out=ang)
+    ang *= w_sin
+    sin_sum = np.add.reduce(ang, axis=-1)
+    np.multiply(half_sin, w_sq, out=ang)
+    ang *= half_sin
+    sq_sum = np.add.reduce(ang, axis=-1)
+    integral = 0.5 * c[0] * xs * xs + xs * sin_sum - sq_sum
+    return 0.5 * xs * xs - (1.0 + 1.0 / k) * integral
+
+
+# Signed zeros, the smallest subnormal, a subnormal near 2^-1022 (where
+# fl(2jx) and 2*fl(jx) could in principle round apart) and a huge value.
+_J1_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]
+_j1_points = st.one_of(
+    st.sampled_from(_J1_SPECIAL),
+    st.builds(lambda e, neg: -(10.0 ** e) if neg else 10.0 ** e,
+              st.floats(min_value=-320.0, max_value=math.log10(40.0)), st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 7, 112, 113]), k=st.integers(1, 3),
+       shape=st.sampled_from([(1,), (1, 1), (5, 1), (3, 4, 1)]), data=st.data())
+def test_j1_one_sine_table_is_bitwise_the_two_table_value(n, k, shape, data):
+    size = math.prod(shape)
+    x = np.array(data.draw(st.lists(_j1_points, min_size=size, max_size=size))).reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 gives inf - inf
+        got = np.asarray(make_j1(n, k).value(x), dtype=np.float64)
+        want = _two_table_j1_value(x, n, k)
+    assert got.shape == want.shape == shape[:-1]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestJ1StationaryPoints:
     def test_first_point_n7(self):
         pts = j1_stationary_points(7, 1, 0)

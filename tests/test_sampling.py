@@ -26,6 +26,15 @@ class TestRngStream:
         rows = np.stack([step.normals(4) for _ in range(16)])
         assert np.array_equal(block, rows)
 
+    def test_draw_into_buffer_matches_fresh_draw(self):
+        buf = np.full((6, 3), np.nan)
+        into = RngStream(7, 2)
+        fresh = RngStream(7, 2)
+        assert into.normals((6, 3), out=buf) is buf
+        assert np.array_equal(buf.view(np.int64), fresh.normals((6, 3)).view(np.int64))
+        # the stream resumes where an ordinary draw would have left it
+        assert np.array_equal(into.normals(5), fresh.normals(5))
+
     @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -2), (2**64, 0)])
     def test_origin_bounds(self, seed, index):
         with pytest.raises(ParameterError):

@@ -283,9 +283,9 @@ class TestNoiseBlockInvariance:
         calls = []
         real = RngStream.normals
 
-        def counted(rng, shape):
+        def counted(rng, shape, out=None):
             calls.append(shape)
-            return real(rng, shape)
+            return real(rng, shape, out=out)
 
         monkeypatch.setattr(solver, "_NOISE_BYTES", budget)
         monkeypatch.setattr(RngStream, "normals", counted)
@@ -309,8 +309,8 @@ class TestNoiseBlockInvariance:
             finally:
                 tracemalloc.stop()
 
-        # Against the same run without noise columns; the rest is a refill's
-        # per-row draw and the noisy step's (256, 10) temporaries.
+        # Against the same run without noise columns; the rest is the noisy
+        # step's (256, 10) temporaries (each refill draws into the buffer).
         noise = peak(0.3, 2.0) - peak(0.0, 0.0)
         one_iteration = 8 * 256 * 20
         assert 0 < noise <= solver._NOISE_BYTES + 2 * one_iteration
