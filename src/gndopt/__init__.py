@@ -19,7 +19,7 @@ from gndopt.objectives import (FourierSinCoefficients, Objective, compute_nk,
                                make_j1, make_j2, make_objective, make_quadratic,
                                make_rastrigin)
 from gndopt.sampling import (RngStream, SgOracle, sample_scaled_gaussian,
-                             scaled_gaussian_norm_moments, sg_draw)
+                             scaled_gaussian_norm_moments)
 from gndopt.solver import (DlGndConfig, DlGndTrace, GndConfig, Trajectory,
                            dlgnd_run, gd_run, gnd_run, sigma_of)
 from gndopt.theory import (BarrierResult, ConditionCheck, DoubleLoopSchedule,

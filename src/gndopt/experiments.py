@@ -3,9 +3,9 @@
 Determinism contract: trial i draws from stream ``(seed, i)``, consuming its d
 initial-point uniforms before any solver draws.  Trials run sequentially in
 row blocks of a fixed size, and each trial depends only on its own stream.
-Aggregation is a fold in trial order inside the kernel: after each step, the
-block's squared distances are added row by row into that iteration's running
-sum (and counted into its running miss count) and then dropped, so memory
+Aggregation is a fold in trial order inside the kernel: at x_0 and after each
+step, the block's squared distances are added row by row into that iteration's
+running sum (and counted into its running miss count) and then dropped, so memory
 grows with neither the trial count nor, beyond those two sums, the iteration
 count.  Adding rows in trial order is what ``mean(axis=0)`` over the full
 trials x (T+1) matrix does, so the output bytes do not depend on the row-block
@@ -126,9 +126,8 @@ def _fold_block(cfg: ExperimentConfig, oracle: SgOracle, low: Array, span: Array
     x0 = np.empty((i1 - i0, obj.dim))
     for row, rng in enumerate(rngs):
         x0[row] = low + span * rng.uniforms(obj.dim)
-    fold.add(0, x0)
     if isinstance(cfg.algorithm, GndConfig):
-        _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, fold=fold, trial_base=i0)
+        _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, fold, trial_base=i0)
     else:
         for _ in _dlgnd_stages(obj, oracle, x0, cfg.algorithm, rngs, fold=fold, trial_base=i0):
             pass  # the outer-loop trace is not part of the statistics
@@ -153,7 +152,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> StatsSeries:
 class _ShadowFold:
     """Per-t sums of d2_t = ||y_t - x*||^2, y_t = x_t - eta*grad f(x_t), over all trials at once.
 
-    ``add(t, x)`` evaluates and guards grad f(x_t) as iteration t, then folds the
+    ``step(t, x)`` evaluates and guards grad f(x_t) as iteration t, then folds the
     two passes of ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` over the trials x
     (T+1) matrix: d2_t into ``total[t]``, then (d2_t - total[t]/trials)^2 into
     ``dev2[t]``.  Per trial it keeps d2_0 (``start``) and the running minimum (``least``).
@@ -164,7 +163,7 @@ class _ShadowFold:
         self.total, self.dev2 = np.zeros(width), np.zeros(width)
         self.start, self.least = None, np.inf
 
-    def add(self, t, x):
+    def step(self, t, x, *_):
         g = self.objective.gradient(x)
         _check_gradients(g, t, 0)
         diff = x - self.eta * g - self.objective.minimizer
@@ -189,7 +188,7 @@ def _shadow_fold(objective: Objective, r: float, x0, T: int, trials: int,
     """Run the fixed-x0 GND ensemble in one kernel call through a :class:`_ShadowFold`.
 
     The certified schedule with f_lb = f* reduces b to the oracle term eta*r^2/lam.
-    Column 0 is folded after the run, so every iteration guards its value first.
+    The kernel guards f(x_t) before the fold evaluates grad f(x_t).
     """
     if objective.certificate is None:
         raise ParameterError("a certified objective is required")
@@ -203,9 +202,7 @@ def _shadow_fold(objective: Objective, r: float, x0, T: int, trials: int,
     x0_rows = np.tile(x0, (int(trials), 1))
     rngs = [RngStream(seed, i) for i in range(int(trials))]
     fold = _ShadowFold(objective, sched.eta, T + 1)
-    _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs, fold=fold,
-                   trial_base=0)
-    fold.add(0, x0_rows)
+    _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs, fold, trial_base=0)
     return fold, sched
 
 

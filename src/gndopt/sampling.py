@@ -68,9 +68,9 @@ def sample_scaled_gaussian(d: int, rng: RngStream, size: int | None = None) -> A
 class SgOracle:
     """Stochastic gradient oracle: exact gradient plus isotropic Gaussian noise.
 
-    Draws return ``grad f(x) + r * xi`` with ``xi ~ N(0, I_d/d)``, so the mean
-    is the exact gradient and the mean squared deviation is exactly ``r**2``.
-    ``r = 0`` short-circuits to the exact gradient without consuming draws.
+    The solver draws ``grad f(x) + r * xi`` with ``xi ~ N(0, I_d/d)``, so the
+    mean is the exact gradient and the mean squared deviation is exactly
+    ``r**2``.  With ``r = 0`` it uses the exact gradient and consumes no draws.
     """
 
     objective: Objective
@@ -78,14 +78,6 @@ class SgOracle:
 
     def __post_init__(self):
         require_nonnegative(r=self.r)
-
-
-def sg_draw(oracle: SgOracle, x: Array, rng: RngStream) -> Array:
-    """One stochastic-gradient draw at x (full gradient when the oracle has r = 0)."""
-    g = oracle.objective.gradient(x)
-    if oracle.r == 0.0:
-        return g
-    return g + oracle.r * sample_scaled_gaussian(oracle.objective.dim, rng)
 
 
 def scaled_gaussian_norm_moments(d: int) -> tuple[float, float, float, float]:

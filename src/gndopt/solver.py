@@ -8,27 +8,27 @@ One GND iteration from the current point x_t:
 
 The injected noise is subtracted; xi is symmetric, so adding it defines the
 same process.  The returned iterate is x_{t*} where t* is the first index
-attaining the minimum recorded value over x_0..x_T (half-step values are
-recorded for the noise bookkeeping but never enter t*).
+attaining the minimum value over x_0..x_T (half-step values are recorded for
+the noise bookkeeping but never enter t*).
 
 Cost per iteration: one gradient evaluation (at x_t) and two value evaluations
-(at x_{t+1/2} and x_{t+1}).  ``gnd_run`` forms the shadow iterates
-y_t = x_t - eta*grad f(x_t) from its recorded points, in one gradient call.
+(at x_{t+1/2} and x_{t+1}).
 
 All runners drive the same batched kernel, so a single trajectory is bitwise
 identical to the corresponding row of an ensemble run with the same stream.
-An ensemble's statistics are folded inside the kernel, step by step, with sums
-over trials added in trial order (``_Fold``, ``_add_in_trial_order``).
-The double loop has one batched implementation, ``_dlgnd_stages``, with a
-lower bound per row; ``dlgnd_run`` is its one-row case.  Its iterations are
-numbered across the whole run: outer loop nu >= 1 starts at T1 + (nu-1)*T2.
+The kernel keeps nothing: it hands x_0 and each step's iterate to one
+observer, which records the run (``gnd_run``), folds an ensemble's statistics
+with sums over trials added in trial order (``_Fold``, ``_add_in_trial_order``),
+or keeps each row's best point (the double loop).  The double loop has one
+batched implementation, ``_dlgnd_stages``, with a lower bound per row;
+``dlgnd_run`` is its one-row case.  Its iterations are numbered across the
+whole run: outer loop nu >= 1 starts at T1 + (nu-1)*T2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -95,14 +95,13 @@ class DlGndConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-iteration record of one solver run (of a batch: a leading row axis)."""
+    """Per-iteration record of one solver run."""
 
     points: Array       # (T+1, d)
     values: Array       # (T+1,)
     sigmas: Array       # (T,)
     half_values: Array  # (T,) values at the half-steps x_{t+1/2}
-    y_points: Optional[Array]  # (T+1, d) shadow iterates, when recorded
-    t_star: int         # of a batch: one index per row
+    t_star: int         # first index of the least value
 
     def best_point(self) -> Array:
         return self.points[self.t_star]
@@ -174,25 +173,37 @@ class _Fold:
         self.total = np.zeros(width)
         self.misses = np.zeros(width, dtype=np.intp)
 
-    def add(self, t, x):
+    def step(self, t, x, *_):
         diff = x - self.x_star
         d2 = np.add.reduce(diff * diff, axis=-1)
         self.misses[t] += np.count_nonzero(d2 > self.thr2)
         _add_in_trial_order(self.total, t, d2)
 
 
-def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, col=0,
-                   record=False, trial_base=None) -> Optional[Trajectory]:
+class _Recorder:
+    """Keeps a batch's whole run: the arrays of a :class:`Trajectory` with a leading row axis."""
+
+    def __init__(self, m, T, d):
+        self.points, self.values = np.empty((m, T + 1, d)), np.empty((m, T + 1))
+        self.sigmas, self.half_values = np.empty((m, T)), np.empty((m, T))
+
+    def step(self, t, x, v, vh, sig):
+        self.points[:, t], self.values[:, t] = x, v
+        if t:
+            self.half_values[:, t - 1], self.sigmas[:, t - 1] = vh, sig
+
+
+def _run_gnd_batch(objective, oracle, x0, cfg, rngs, observer, *, f_lb=None,
+                   trial_base=None) -> None:
     """Run cfg.T GND iterations on a batch of trajectories, one rng stream per row.
 
     ``f_lb`` may be a scalar or a per-row vector (used by the double-loop
-    ensemble); it defaults to ``cfg.f_lb``.  A ``fold`` receives the iterate
-    after step t in column ``col + t + 1`` (x0 is not folded).  With
-    ``record=True`` the run is returned as a :class:`Trajectory` with a leading
-    row axis (without ``y_points``); otherwise nothing is stored and None is
-    returned.  Every value is evaluated and guarded either way, so the iterates
-    and the stream consumption do not change.  Raises DivergedError as soon as
-    any row produces a non-finite value/gradient or exceeds GUARD_LIMIT.
+    ensemble); it defaults to ``cfg.f_lb``.  The kernel keeps and returns nothing
+    of the run: it calls ``observer.step(t, x_t, f(x_t), f(x_{t-1/2}),
+    sigma_{t-1})`` at t = 0 (with None for the last two) and after each step,
+    once the step's values are guarded.  The arrays it passes are not written
+    to afterwards.  Raises DivergedError as soon as any row produces a
+    non-finite value/gradient or exceeds GUARD_LIMIT.
     """
     x = np.array(x0, dtype=np.float64)
     m, d = x.shape
@@ -212,10 +223,7 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, co
 
     v = objective.value(x)
     _check_values(v, 0, trial_base)
-    if record:
-        values, points = np.empty((m, T + 1)), np.empty((m, T + 1, d))
-        sigmas, half_values = np.empty((m, T)), np.empty((m, T))
-        values[:, 0], points[:, 0] = v, x
+    observer.step(0, x, v, None, None)
 
     # Noise for up to `most` iterations, already divided by sqrt(d): one buffer
     # per call of at most _NOISE_BYTES (or of one iteration, if that is more),
@@ -238,8 +246,7 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, co
         xh = x - eta * g
         vh = objective.value(xh)
         _check_values(vh, t, trial_base, HALF_VALUE)
-        if draw_xi or record:
-            sig = np.sqrt(eta_s * np.maximum(vh - f_lb, 0.0))
+        sig = np.sqrt(eta_s * np.maximum(vh - f_lb, 0.0))
         if draw_xi:
             x = xh - sig[:, None] * block[:, bpos, xi_cols]
         else:
@@ -247,17 +254,7 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, *, f_lb=None, fold=None, co
         bpos += 1
         v = objective.value(x)
         _check_values(v, t + 1, trial_base)
-        if record:
-            half_values[:, t], sigmas[:, t] = vh, sig
-            values[:, t + 1], points[:, t + 1] = v, x
-        if fold is not None:
-            fold.add(col + t + 1, x)
-
-    if not record:
-        return None
-    # argmin returns the first minimizing index
-    return Trajectory(points=points, values=values, sigmas=sigmas, half_values=half_values,
-                      y_points=None, t_star=np.argmin(values, axis=1))
+        observer.step(t + 1, x, v, vh, sig)
 
 
 def _as_x0(objective, x0) -> Array:
@@ -267,31 +264,21 @@ def _as_x0(objective, x0) -> Array:
     return x0
 
 
-def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig, rng: RngStream,
-            record_y: bool = False) -> Trajectory:
-    """Run GND for cfg.T iterations from x0, recording the full trajectory.
-
-    With ``record_y=True`` the shadow iterates y_t = x_t - eta*grad f(x_t) are
-    formed from the recorded points.  The kernel has guarded grad f(x_t) for
-    t < T; grad f(x_T) is guarded here as iteration T.
-    """
-    x0 = _as_x0(objective, x0)[None, :]
-    res = _run_gnd_batch(objective, oracle, x0, cfg, [rng], record=True)
-    points, y_points = res.points[0], None
-    if record_y:
-        g = objective.gradient(points)
-        _check_gradients(g[-1:], cfg.T, None)
-        y_points = points - cfg.eta * g
-    return Trajectory(points=points, values=res.values[0], sigmas=res.sigmas[0],
-                      half_values=res.half_values[0], y_points=y_points,
-                      t_star=int(res.t_star[0]))
+def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig,
+            rng: RngStream) -> Trajectory:
+    """Run GND for cfg.T iterations from x0, recording the full trajectory."""
+    x0 = _as_x0(objective, x0)
+    rec = _Recorder(1, cfg.T, x0.size)
+    _run_gnd_batch(objective, oracle, x0[None, :], cfg, [rng], rec)
+    # argmin returns the first minimizing index
+    return Trajectory(points=rec.points[0], values=rec.values[0], sigmas=rec.sigmas[0],
+                      half_values=rec.half_values[0], t_star=int(np.argmin(rec.values[0])))
 
 
 def gd_run(objective: Objective, oracle: SgOracle, x0, eta: float, T: int,
-           rng: RngStream, record_y: bool = False) -> Trajectory:
+           rng: RngStream) -> Trajectory:
     """Plain (stochastic) gradient descent: GND with s = 0, bit for bit."""
-    cfg = GndConfig(eta=eta, s=0.0, f_lb=0.0, T=T)
-    return gnd_run(objective, oracle, x0, cfg, rng, record_y=record_y)
+    return gnd_run(objective, oracle, x0, GndConfig(eta=eta, s=0.0, f_lb=0.0, T=T), rng)
 
 
 def dlgnd_run(objective: Objective, oracle: SgOracle, x0, cfg: DlGndConfig,
@@ -308,6 +295,29 @@ def dlgnd_run(objective: Objective, oracle: SgOracle, x0, cfg: DlGndConfig,
                       min_values=res.min_values[0])
 
 
+class _StageBest:
+    """Each row's first minimizer of f(x_t) over one stage, forwarding x_t to a fold.
+
+    A strict ``<`` keeps the first minimizing index, as ``np.argmin`` does on the
+    finite values the guard lets through.  The fold sees x_t in column
+    ``offset + t``; x_0 only in the first stage, since a restart takes no iteration.
+    """
+
+    def __init__(self, fold, offset):
+        self.fold, self.offset = fold, offset
+
+    def step(self, t, x, v, vh, sig):
+        if not t:
+            self.x, self.v = x.copy(), v.copy()
+        else:
+            better = v < self.v
+            if better.any():
+                np.copyto(self.v, v, where=better)
+                np.copyto(self.x, x, where=better[:, None])
+        if self.fold is not None and (t or not self.offset):
+            self.fold.step(self.offset + t, x, v, vh, sig)
+
+
 def _dlgnd_stages(objective, oracle, x0, cfg, rngs, fold=None, trial_base=None):
     """Run the double-loop scheme on a batch of trajectories, one rng stream per row.
 
@@ -317,21 +327,21 @@ def _dlgnd_stages(objective, oracle, x0, cfg, rngs, fold=None, trial_base=None):
     outer-loop restarts jump to the running best point without consuming an
     iteration and are not folded.  A DivergedError names the run's iteration.
     """
-    rows = np.arange(x0.shape[0])
     first = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T1)
     inner = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T2)
-    f_lb = np.full(len(rows), float(cfg.f_lb0))
+    f_lb = np.full(x0.shape[0], float(cfg.f_lb0))
     x_min, offset = x0, 0
     for nu in range(cfg.N + 1):
         if nu:
             f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
         stage = inner if nu else first
+        best = _StageBest(fold, offset)
         try:
-            res = _run_gnd_batch(objective, oracle, x_min, stage, rngs, f_lb=f_lb, fold=fold,
-                                 col=offset, record=True, trial_base=trial_base)
+            _run_gnd_batch(objective, oracle, x_min, stage, rngs, best, f_lb=f_lb,
+                           trial_base=trial_base)
         except DivergedError as err:
             raise DivergedError(err.iteration + offset, err.trial, err.quantity) from None
-        x_min, v_min = res.points[rows, res.t_star], res.values[rows, res.t_star]
+        x_min, v_min = best.x, best.v
         yield f_lb, x_min, v_min
         offset += stage.T
 

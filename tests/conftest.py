@@ -13,6 +13,8 @@ import numpy as np
 
 from gndopt import GndConfig, gnd_run
 
+pytest_plugins = ("pytester",)
+
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=48):
     """Adaptive Simpson quadrature of a scalar function over [a, b]."""

@@ -190,17 +190,20 @@ class TestMemory:
         assert self._peak(5 * rows - 3) <= one_block * 1.02
 
     # A short run and one with ten times the iterations.  With r > 0 each
-    # iteration draws 20 noise columns per row, so 120 GND iterations of one
-    # block fill the noise buffer to its cap in both runs; DL-GND adds outer loops.
+    # iteration draws 20 noise columns per row, so 100 GND iterations of one
+    # block fill the noise buffer to its cap in both runs; DL-GND adds outer
+    # loops, or lengthens stage one (no stage may keep its trajectory).
     LONGER = {
         "gnd": [GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=T) for T in (120, 1200)],
         "dlgnd": [DlGndConfig(eta=0.05, s=2.0, f_lb0=-1.0, gamma=0.5, N=N, T1=100, T2=10)
                   for N in (10, 190)],
+        "dlgnd-T1": [DlGndConfig(eta=0.05, s=2.0, f_lb0=-1.0, gamma=0.5, N=10, T1=T1, T2=10)
+                     for T1 in (100, 1000)],
     }
 
-    @pytest.mark.parametrize("algo", ["gnd", "dlgnd"])
+    @pytest.mark.parametrize("algo", ["gnd", "dlgnd", "dlgnd-T1"])
     def test_peak_does_not_grow_with_iterations(self, algo):
-        assert 8 * experiments._CHUNK * 20 * 120 >= solver._NOISE_BYTES
+        assert 8 * experiments._CHUNK * 20 * 100 >= solver._NOISE_BYTES
         short, long = self.LONGER[algo]
         self._peak(20)  # first-call allocations are not part of any run below
         base = self._peak(experiments._CHUNK, short, r=0.3)
@@ -264,8 +267,9 @@ class TestContractionCheck:
         rep = contraction_check(q, r=r, trials=trials, x0=x0, T=T, seed=seed, slack=slack)
         sched = rep.schedule
         cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=q.min_value, T=T)
-        res = solver._run_gnd_batch(q, SgOracle(q, r), np.tile(x0, (trials, 1)), cfg,
-                                    [RngStream(seed, i) for i in range(trials)], record=True)
+        res = solver._Recorder(trials, T, 2)
+        solver._run_gnd_batch(q, SgOracle(q, r), np.tile(x0, (trials, 1)), cfg,
+                              [RngStream(seed, i) for i in range(trials)], res)
         diff = res.points - sched.eta * q.gradient(res.points) - q.minimizer
         d2 = np.sum(diff * diff, axis=-1)  # (trials, T+1)
         means = d2.mean(axis=0)

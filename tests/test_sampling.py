@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gndopt import (ParameterError, RngStream, SgOracle, make_quadratic,
-                    make_rastrigin, sample_scaled_gaussian,
-                    scaled_gaussian_norm_moments, sg_draw)
+from gndopt import (GndConfig, ParameterError, RngStream, SgOracle, gd_run, make_quadratic,
+                    make_rastrigin, sample_scaled_gaussian, scaled_gaussian_norm_moments,
+                    solver)
 
 
 class TestRngStream:
@@ -83,37 +83,45 @@ class TestExactMoments:
             assert abs(sample.mean() - exact[p - 1]) <= 3.0 * se + 1e-12
 
 
+def _kernel_gradient_noise(obj, r, x0, seed, rows=1000, steps=100):
+    """SG(x_t) - grad f(x_t) of every step of a GD ensemble: the solver's own draws.
+
+    With s = 0 one step is x_{t+1} = x_t - eta*SG(x_t), so the noise r*omega is
+    (x_t - eta*grad f(x_t) - x_{t+1}) / eta, up to rounding.
+    """
+    eta = 0.1
+    rec = solver._Recorder(rows, steps, obj.dim)
+    solver._run_gnd_batch(obj, SgOracle(obj, r), np.tile(x0, (rows, 1)),
+                          GndConfig(eta=eta, s=0.0, f_lb=0.0, T=steps),
+                          [RngStream(seed, i) for i in range(rows)], rec)
+    x, x_next = rec.points[:, :-1], rec.points[:, 1:]
+    return ((x - eta * obj.gradient(x) - x_next) / eta).reshape(-1, obj.dim)
+
+
 class TestSgOracle:
     def test_r_zero_returns_exact_gradient_without_draws(self):
         obj = make_rastrigin(1.0, 1.0, 0.05, 2)
-        oracle = SgOracle(obj, 0.0)
         rng = RngStream(11, 0)
         x = np.array([0.3, -1.2])
-        g = sg_draw(oracle, x, rng)
-        assert np.array_equal(g, obj.gradient(x))
+        traj = gd_run(obj, SgOracle(obj, 0.0), x, eta=0.1, T=1, rng=rng)
+        assert np.array_equal(traj.points[1], x - 0.1 * obj.gradient(x))
         # stream untouched: next draw equals a fresh stream's first draw
         assert np.array_equal(rng.normals(4), RngStream(11, 0).normals(4))
 
     def test_mean_squared_deviation_is_r_squared(self):
         obj = make_quadratic(1.0, 4)
-        oracle = SgOracle(obj, 1.0)
-        rng = RngStream(5, 0)
-        x = np.array([1.0, 2.0, -0.5, 0.0])
-        n = 100_000
-        g = obj.gradient(x)
-        draws = np.stack([sg_draw(oracle, x, rng) for _ in range(n)])
-        dev2 = np.sum((draws - g) ** 2, axis=-1)
+        noise = _kernel_gradient_noise(obj, 1.0, [1.0, 2.0, -0.5, 0.0], seed=5)
+        n = len(noise)
+        dev2 = np.sum(noise**2, axis=-1)
         se = dev2.std(ddof=1) / math.sqrt(n)
         assert abs(dev2.mean() - 1.0) <= 3.0 * se
 
     def test_unbiased_componentwise(self):
         obj = make_quadratic(2.0, 2)
-        oracle = SgOracle(obj, 1.0)
-        x = np.array([0.7, -0.4])
-        n = 100_000
-        samples = oracle.objective.gradient(x) + 1.0 * sample_scaled_gaussian(2, RngStream(9, 0), size=n)
+        noise = _kernel_gradient_noise(obj, 1.0, [0.7, -0.4], seed=9)
+        n = len(noise)
         # componentwise CLT bound at 3 sigma with variance 1/d per coordinate
-        err = np.abs(samples.mean(axis=0) - obj.gradient(x))
+        err = np.abs(noise.mean(axis=0))
         assert np.all(err <= 3.0 / math.sqrt(2 * n) + 1e-12)
 
     def test_negative_r_rejected(self):

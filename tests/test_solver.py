@@ -13,7 +13,8 @@ from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, dlgnd_run, gd_run, gnd_run,
                     j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
                     run_monte_carlo, sigma_of, solver, stopping_time_check)
-from gndopt.solver import GUARD_LIMIT, _dlgnd_stages, _Fold, _run_dlgnd_batch, _run_gnd_batch
+from gndopt.solver import (GUARD_LIMIT, _dlgnd_stages, _Fold, _Recorder, _run_dlgnd_batch,
+                           _run_gnd_batch)
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,14 +87,6 @@ class TestGndRun:
         regenerated = "\n".join(lines) + "\n"
         assert regenerated == (DATA / "golden_gnd_j1_7_1.csv").read_text()
 
-    def test_record_y_shadow_iterates(self):
-        q = make_quadratic(1.0, 1)
-        cfg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=10)
-        traj = gnd_run(q, SgOracle(q, 0.0), [5.0], cfg, RngStream(8, 0), record_y=True)
-        expected = traj.points - cfg.eta * np.array([q.gradient(p) for p in traj.points])
-        assert np.array_equal(traj.y_points, expected)
-        assert traj.y_points[0, 0] == 3.0  # 5 - 0.4*5
-
     def test_divergence_guard_reports_iteration(self):
         q = make_quadratic(1.0, 1)
         cfg = GndConfig(eta=3.0, s=0.0, f_lb=0.0, T=200)  # |1 - eta| = 2: geometric blowup
@@ -143,6 +136,17 @@ class TestGdRun:
         assert any(abs(p - x_min) < 1e-12 for p in pts)
 
 
+class _Both:
+    """An observer that passes each step to several observers, in order."""
+
+    def __init__(self, *observers):
+        self.observers = observers
+
+    def step(self, *args):
+        for observer in self.observers:
+            observer.step(*args)
+
+
 def _added_in_row_order(rows):
     """Rows summed one at a time, first row first: the order ``mean(axis=0)`` adds them."""
     total = np.zeros(len(rows[0]))
@@ -158,23 +162,23 @@ class TestEnsembleKernel:
         cfg = GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=30)
         x0s = np.array([[8.0], [-4.0], [2.5], [0.1]])
         rngs = [RngStream(21, i) for i in range(4)]
-        res = _run_gnd_batch(j1, oracle, x0s, cfg, rngs, record=True)
-        ys = res.points - cfg.eta * j1.gradient(res.points)
+        res = _Recorder(4, cfg.T, 1)
+        _run_gnd_batch(j1, oracle, x0s, cfg, rngs, res)
         for i in range(4):
-            single = gnd_run(j1, oracle, x0s[i], cfg, RngStream(21, i), record_y=True)
+            single = gnd_run(j1, oracle, x0s[i], cfg, RngStream(21, i))
             assert np.array_equal(res.points[i], single.points)
             assert np.array_equal(res.values[i], single.values)
             assert np.array_equal(res.sigmas[i], single.sigmas)
-            assert np.array_equal(ys[i], single.y_points)
-            assert res.t_star[i] == single.t_star
+            assert np.array_equal(res.half_values[i], single.half_values)
+            assert np.argmin(res.values[i]) == single.t_star
 
     def test_divergence_reports_trial_and_iteration(self):
         q = make_quadratic(1.0, 1)
         cfg = GndConfig(eta=3.0, s=0.0, f_lb=0.0, T=300)
         x0s = np.array([[1e-9], [10.0]])  # second row blows up first
         with pytest.raises(DivergedError) as err:
-            _run_gnd_batch(q, SgOracle(q, 0.0), x0s, cfg,
-                           [RngStream(0, 0), RngStream(0, 1)], trial_base=40)
+            _run_gnd_batch(q, SgOracle(q, 0.0), x0s, cfg, [RngStream(0, 0), RngStream(0, 1)],
+                           _Fold(q.minimizer, 1.0, cfg.T + 1), trial_base=40)
         assert err.value.trial == 41
 
 
@@ -182,7 +186,8 @@ def _poisoned(objective, kind, call, bad):
     """``objective`` whose ``kind`` call number ``call`` (0-based) returns ``bad`` in rows 3 and up.
 
     Value calls come in the kernel's order: f(x_0), then per iteration t the
-    half-step value f(x_{t+1/2}) and f(x_{t+1}); gradient call t is grad f(x_t).
+    half-step value f(x_{t+1/2}) and f(x_{t+1}); gradient call t is grad f(x_t)
+    (unless the observer evaluates gradients too).
     """
     calls = [0]
     clean = getattr(objective, kind)
@@ -198,7 +203,6 @@ def _poisoned(objective, kind, call, bad):
 
 
 class TestDivergenceGuard:
-    @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("kind, call, bad, iteration, quantity", [
         ("value", 10, np.nan, 5, "value"),
         ("value", 7, np.inf, 3, "half-step value"),
@@ -208,30 +212,21 @@ class TestDivergenceGuard:
         ("gradient", 2, [0.9 * GUARD_LIMIT, -0.9 * GUARD_LIMIT], 2, "gradient"),
     ])
     def test_names_first_failing_row_iteration_and_quantity(self, kind, call, bad, iteration,
-                                                            quantity, record):
+                                                            quantity):
         q = _poisoned(make_quadratic(1.0, 2), kind, call, bad)
         cfg = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10)
         x0s = np.full((5, 2), 2.0)
         rngs = [RngStream(0, i) for i in range(5)]
         fold = _Fold(q.minimizer, 1e-6, cfg.T + 1)
         with pytest.raises(DivergedError) as err:
-            _run_gnd_batch(q, SgOracle(q, 0.3), x0s, cfg, rngs, fold=fold,
-                           record=record, trial_base=40)
+            _run_gnd_batch(q, SgOracle(q, 0.3), x0s, cfg, rngs, fold, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
         assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
 
-    def test_record_y_guards_the_gradient_at_the_last_point(self):
-        # gnd_run's gradient call T is the record_y call on x_0..x_T; rows 3 and up include x_T.
-        q = _poisoned(make_quadratic(1.0, 1), "gradient", 6, np.nan)
-        cfg = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=6)
-        with pytest.raises(DivergedError) as err:
-            gnd_run(q, SgOracle(q, 0.3), [2.0], cfg, RngStream(0, 0), record_y=True)
-        assert (err.value.trial, err.value.iteration, err.value.quantity) == (None, 6, "gradient")
-
-    # On the shadow path of M iterations, gradient call 2t is the step's grad f(x_t),
-    # call 2t+1 the shadow's grad f(x_{t+1}), and call 2M the shadow's grad f(x_0).
+    # On the shadow path of M iterations, gradient call 2t is the shadow's grad f(x_t)
+    # and call 2t+1 the step's grad f(x_t): the fold sees x_0 before the first step.
     @pytest.mark.parametrize("kind, call, M, quantity", [
-        ("gradient", 7, 4, "gradient"),  # at x_M
+        ("gradient", 8, 4, "gradient"),  # at x_M
         ("gradient", 0, 0, "gradient"),  # at x_0 of a run without steps
         ("value", 0, 0, "value"),  # f(x_0) is guarded before its gradient
     ])
@@ -291,7 +286,7 @@ class TestNoiseBlockInvariance:
         monkeypatch.setattr(RngStream, "normals", counted)
         _run_gnd_batch(q, SgOracle(q, 0.5), np.ones((4, 1)),
                        GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10),
-                       [RngStream(1, i) for i in range(4)], record=False)
+                       [RngStream(1, i) for i in range(4)], _Fold(q.minimizer, 1.0, 11))
         assert calls == [(span, 2) for span in spans for _ in range(4)]
 
     def test_noise_buffer_stays_within_budget(self):
@@ -302,9 +297,10 @@ class TestNoiseBlockInvariance:
         def peak(r, s):
             cfg = GndConfig(eta=0.05, s=s, f_lb=0.0, T=300)
             rngs = [RngStream(3, i) for i in range(256)]
+            fold = _Fold(rast.minimizer, 1.0, cfg.T + 1)
             tracemalloc.start()
             try:
-                _run_gnd_batch(rast, SgOracle(rast, r), x0, cfg, rngs, record=False)
+                _run_gnd_batch(rast, SgOracle(rast, r), x0, cfg, rngs, fold)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -322,31 +318,21 @@ class TestNoiseBlockInvariance:
         x0s = np.linspace(-4.0, 4.0, 50).reshape(5, 10)
         thr2 = 10.0  # some rows end within it, some beyond
 
-        class Keeping(_Fold):
-            """The distance fold, also keeping each step's iterates."""
+        def folded(rows, *others):
+            fold = _Fold(rast.minimizer, thr2, cfg.T + 1)
+            _run_gnd_batch(rast, oracle, x0s[rows], cfg, [RngStream(4, i) for i in rows],
+                           _Both(fold, *others))
+            return fold
 
-            def add(self, t, x):
-                super().add(t, x)
-                self.points.append(x.copy())
-
-        def folded(rows, record):
-            fold = Keeping(rast.minimizer, thr2, cfg.T + 1)
-            fold.points = []
-            fold.add(0, x0s[rows])
-            res = _run_gnd_batch(rast, oracle, x0s[rows], cfg, [RngStream(4, i) for i in rows],
-                                 fold=fold, record=record)
-            return res, fold
-
-        (full, full_fold), (bare, bare_fold) = (folded(range(5), rec) for rec in (True, False))
-        assert bare is None
-        assert np.array_equal(full.points, np.stack(bare_fold.points, axis=1))
+        full = _Recorder(5, cfg.T, 10)
+        full_fold, bare_fold = folded(range(5), full), folded(range(5))
         assert np.array_equal(full_fold.total, bare_fold.total)
         assert np.array_equal(full_fold.misses, bare_fold.misses)
         dist2 = np.sum(full.points**2, axis=-1)
         assert np.array_equal(full_fold.total, _added_in_row_order(dist2))
         assert np.array_equal(full_fold.misses, np.count_nonzero(dist2 > thr2, axis=0))
         assert np.any((full_fold.misses > 0) & (full_fold.misses < 5))
-        singles = [folded([i], False)[1] for i in range(5)]
+        singles = [folded([i]) for i in range(5)]
         assert np.array_equal(full_fold.total, _added_in_row_order([f.total for f in singles]))
         assert np.array_equal(full_fold.misses, sum(f.misses for f in singles))
 
@@ -393,6 +379,19 @@ class TestDlGnd:
         for nu in range(1, 5):
             assert np.array_equal(stages[nu].points[0], trace.min_points[nu - 1])
         assert np.array_equal(trace.min_points, mins)
+
+    def test_ties_keep_each_stage_first_minimizer(self):
+        # eta = 2 maps x to -x: x_t flips between 3 and -3 at equal values, and
+        # the odd stages end on -3.  The first minimizer of every stage is its start.
+        q = make_quadratic(1.0, 1)
+        oracle = SgOracle(q, 0.0)
+        cfg = DlGndConfig(eta=2.0, s=0.0, f_lb0=-1.0, gamma=0.5, N=4, T1=5, T2=3)
+        trace = dlgnd_run(q, oracle, [3.0], cfg, RngStream(0, 0))
+        _, mins, vals, stages = sequential_dlgnd(q, oracle, np.array([3.0]), cfg, RngStream(0, 0))
+        assert all(traj.points[-1, 0] == -3.0 for traj in stages)  # a last minimizer's pick
+        assert np.array_equal(mins, np.full((5, 1), 3.0))
+        assert np.array_equal(trace.min_points, mins)
+        assert np.array_equal(trace.min_values, vals)
 
     def test_determinism(self):
         j1 = make_j1(7, 1)
@@ -466,7 +465,6 @@ class TestDlGndBatch:
 
         def folded(rows):
             fold = _Fold(rast.minimizer, 1.0, cfg.total_iterations + 1)
-            fold.add(0, x0s[rows])
             rngs = [RngStream(seed, i) for i in rows]
             stages = _dlgnd_stages(rast, oracle, x0s[rows], cfg, rngs, fold=fold)
             return fold, [np.stack(arrays, axis=1) for arrays in zip(*stages)]
