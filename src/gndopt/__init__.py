@@ -21,7 +21,7 @@ from gndopt.objectives import (FourierSinCoefficients, Objective, compute_nk,
 from gndopt.sampling import (RngStream, SgOracle, sample_scaled_gaussian,
                              scaled_gaussian_norm_moments)
 from gndopt.solver import (DlGndConfig, DlGndTrace, GndConfig, Trajectory,
-                           dlgnd_run, gd_run, gnd_run, sigma_of)
+                           dlgnd_run, gd_run, gnd_run)
 from gndopt.theory import (BarrierResult, ConditionCheck, DoubleLoopSchedule,
                            RegularityReport, Schedule, ball_shell_grid,
                            barrier_check, check_eta_constraint, dlgnd_schedule,

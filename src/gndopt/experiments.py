@@ -3,13 +3,14 @@
 Determinism contract: trial i draws from stream ``(seed, i)``, consuming its d
 initial-point uniforms before any solver draws.  Trials run sequentially in
 row blocks of a fixed size, and each trial depends only on its own stream.
-Aggregation is a fold in trial order inside the kernel: at x_0 and after each
-step, the block's squared distances are added row by row into that iteration's
-running sum (and counted into its running miss count) and then dropped, so memory
-grows with neither the trial count nor, beyond those two sums, the iteration
-count.  Adding rows in trial order is what ``mean(axis=0)`` over the full
-trials x (T+1) matrix does, so the output bytes do not depend on the row-block
-size.  The shadow-distance checks (``contraction_check``, ``stopping_time_check``)
+Aggregation is a fold in trial order: the solver's kernel hands x_0 and each
+step's iterate to a ``_Fold``, which adds the block's squared distances row by
+row into that iteration's running sum (and counts them into its running miss
+count) and then drops them, so memory grows with neither the trial count nor,
+beyond those two sums, the iteration count.  Adding rows in trial order
+(``_add_in_trial_order``) is what ``mean(axis=0)`` over the full trials x (T+1)
+matrix does, so the output bytes do not depend on the row-block size.  The
+shadow-distance checks (``contraction_check``, ``stopping_time_check``)
 fold the same way: ``_ShadowFold`` keeps per-t sums and per-trial start and
 minimum.  Diverged trajectories abort the whole experiment (silently dropping
 them would bias the error statistics).
@@ -27,8 +28,8 @@ from gndopt.errors import (ParameterError, require_finite, require_integer, requ
                            require_positive)
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
-from gndopt.solver import (DlGndConfig, GndConfig, _add_in_trial_order, _check_gradients,
-                           _dlgnd_stages, _Fold, _run_gnd_batch)
+from gndopt.solver import (DlGndConfig, GndConfig, _check_gradients, _dlgnd_stages,
+                           _run_gnd_batch)
 from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
 
 Array = np.ndarray
@@ -118,6 +119,31 @@ def _init_box(cfg: ExperimentConfig) -> tuple[Array, Array]:
     return low, high
 
 
+def _add_in_trial_order(sums, t, rows):
+    """Add ``rows`` into ``sums[t]`` one at a time, first row first.
+
+    This is the order in which ``mean(axis=0)`` adds the rows of a matrix of
+    two or more columns, so the bytes of a sum do not depend on row blocking.
+    """
+    acc = np.concatenate((sums[t : t + 1], rows))
+    sums[t] = np.add.accumulate(acc, out=acc)[-1]
+
+
+class _Fold:
+    """Per-iteration sums of squared distances to x_star, and counts of those above thr2."""
+
+    def __init__(self, x_star, thr2, width):
+        self.x_star, self.thr2 = x_star, thr2
+        self.total = np.zeros(width)
+        self.misses = np.zeros(width, dtype=np.intp)
+
+    def step(self, t, x, *_):
+        diff = x - self.x_star
+        d2 = np.add.reduce(diff * diff, axis=-1)
+        self.misses[t] += np.count_nonzero(d2 > self.thr2)
+        _add_in_trial_order(self.total, t, d2)
+
+
 def _fold_block(cfg: ExperimentConfig, oracle: SgOracle, low: Array, span: Array,
                 i0: int, i1: int, fold: _Fold) -> None:
     """Run trials i0..i1-1 and fold their squared distances to the minimizer."""
@@ -129,7 +155,7 @@ def _fold_block(cfg: ExperimentConfig, oracle: SgOracle, low: Array, span: Array
     if isinstance(cfg.algorithm, GndConfig):
         _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, fold, trial_base=i0)
     else:
-        for _ in _dlgnd_stages(obj, oracle, x0, cfg.algorithm, rngs, fold=fold, trial_base=i0):
+        for _ in _dlgnd_stages(obj, oracle, x0, cfg.algorithm, rngs, fold, trial_base=i0):
             pass  # the outer-loop trace is not part of the statistics
 
 
@@ -214,6 +240,7 @@ def contraction_check(objective: Objective, r: float, trials: int, x0, T: int,
     ``slack * ((1 - eta*lam/100)^t * ||y0 - x*||^2 + 100*b)`` plus three
     standard errors of the ensemble mean, at every t.
     """
+    require_positive(slack=slack)
     fold, sched = _shadow_fold(objective, r, x0, T, trials, seed)
     means = fold.total / trials
     if trials > 1:

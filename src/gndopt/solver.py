@@ -17,12 +17,12 @@ Cost per iteration: one gradient evaluation (at x_t) and two value evaluations
 All runners drive the same batched kernel, so a single trajectory is bitwise
 identical to the corresponding row of an ensemble run with the same stream.
 The kernel keeps nothing: it hands x_0 and each step's iterate to one
-observer, which records the run (``gnd_run``), folds an ensemble's statistics
-with sums over trials added in trial order (``_Fold``, ``_add_in_trial_order``),
-or keeps each row's best point (the double loop).  The double loop has one
-batched implementation, ``_dlgnd_stages``, with a lower bound per row;
-``dlgnd_run`` is its one-row case.  Its iterations are numbered across the
-whole run: outer loop nu >= 1 starts at T1 + (nu-1)*T2.
+observer, which records the run (``gnd_run``) or keeps each row's best point
+(the double loop); the ensemble statistics are observers of
+``gndopt.experiments``.  The double loop has one batched implementation,
+``_dlgnd_stages``, with a lower bound per row; ``dlgnd_run`` is its one-row
+case.  Its iterations are numbered across the whole run: outer loop nu >= 1
+starts at T1 + (nu-1)*T2.
 """
 
 from __future__ import annotations
@@ -112,21 +112,11 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class DlGndTrace:
-    """Outer-loop record of one double-loop run (of a batch: a leading row axis)."""
+    """Outer-loop record of one double-loop run."""
 
     lb_history: Array   # (N+1,) lower-bound estimates f_lb^0 .. f_lb^N
     min_points: Array   # (N+1, d) best points after stage one and each outer loop
     min_values: Array   # (N+1,)
-
-
-def sigma_of(eta: float, s: float, f_half: float, f_lb: float):
-    """Adaptive noise level sqrt(eta * s * (f_half - f_lb)^+); accepts arrays."""
-    require_positive(eta=eta)
-    for s_i in np.ravel(s):
-        require_nonnegative(s=s_i)
-    for f_lb_i in np.ravel(f_lb):
-        require_finite(f_lb=f_lb_i)
-    return np.sqrt(eta * s * np.maximum(np.asarray(f_half) - f_lb, 0.0))
 
 
 _GUARD_LIMIT_SQ = GUARD_LIMIT**2
@@ -153,31 +143,6 @@ def _check_gradients(g, t, base):
     norm2 = np.add.reduce(g * g, axis=-1)
     if not np.maximum.reduce(norm2) <= _GUARD_LIMIT_SQ:
         _diverged(norm2 <= _GUARD_LIMIT_SQ, t, base, GRADIENT)
-
-
-def _add_in_trial_order(sums, t, rows):
-    """Add ``rows`` into ``sums[t]`` one at a time, first row first.
-
-    This is the order in which ``mean(axis=0)`` adds the rows of a matrix of
-    two or more columns, so the bytes of a sum do not depend on row blocking.
-    """
-    acc = np.concatenate((sums[t : t + 1], rows))
-    sums[t] = np.add.accumulate(acc, out=acc)[-1]
-
-
-class _Fold:
-    """Per-iteration sums of squared distances to x_star, and counts of those above thr2."""
-
-    def __init__(self, x_star, thr2, width):
-        self.x_star, self.thr2 = x_star, thr2
-        self.total = np.zeros(width)
-        self.misses = np.zeros(width, dtype=np.intp)
-
-    def step(self, t, x, *_):
-        diff = x - self.x_star
-        d2 = np.add.reduce(diff * diff, axis=-1)
-        self.misses[t] += np.count_nonzero(d2 > self.thr2)
-        _add_in_trial_order(self.total, t, d2)
 
 
 class _Recorder:
@@ -287,24 +252,24 @@ def dlgnd_run(objective: Objective, oracle: SgOracle, x0, cfg: DlGndConfig,
 
     The rng stream is consumed sequentially across all inner runs, so a
     double-loop run owns exactly one stream like any other trajectory.  This
-    is row 0 of a one-row :func:`_run_dlgnd_batch`.
+    is the one-row case of :func:`_dlgnd_stages`.
     """
     x0 = _as_x0(objective, x0)
-    res = _run_dlgnd_batch(objective, oracle, x0[None, :], cfg, [rng])
-    return DlGndTrace(lb_history=res.lb_history[0], min_points=res.min_points[0],
-                      min_values=res.min_values[0])
+    lb, mins, vals = zip(*_dlgnd_stages(objective, oracle, x0[None, :], cfg, [rng]))
+    return DlGndTrace(lb_history=np.concatenate(lb), min_points=np.concatenate(mins),
+                      min_values=np.concatenate(vals))
 
 
 class _StageBest:
-    """Each row's first minimizer of f(x_t) over one stage, forwarding x_t to a fold.
+    """Each row's first minimizer of f(x_t) over one stage, forwarding each step to an observer.
 
     A strict ``<`` keeps the first minimizing index, as ``np.argmin`` does on the
-    finite values the guard lets through.  The fold sees x_t in column
+    finite values the guard lets through.  The observer sees x_t as iteration
     ``offset + t``; x_0 only in the first stage, since a restart takes no iteration.
     """
 
-    def __init__(self, fold, offset):
-        self.fold, self.offset = fold, offset
+    def __init__(self, observer, offset):
+        self.observer, self.offset = observer, offset
 
     def step(self, t, x, v, vh, sig):
         if not t:
@@ -314,18 +279,18 @@ class _StageBest:
             if better.any():
                 np.copyto(self.v, v, where=better)
                 np.copyto(self.x, x, where=better[:, None])
-        if self.fold is not None and (t or not self.offset):
-            self.fold.step(self.offset + t, x, v, vh, sig)
+        if self.observer is not None and (t or not self.offset):
+            self.observer.step(self.offset + t, x, v, vh, sig)
 
 
-def _dlgnd_stages(objective, oracle, x0, cfg, rngs, fold=None, trial_base=None):
+def _dlgnd_stages(objective, oracle, x0, cfg, rngs, observer=None, trial_base=None):
     """Run the double-loop scheme on a batch of trajectories, one rng stream per row.
 
     Yields each row's ``(f_lb, x_min, f(x_min))`` after stage one and after
-    each outer loop; each row keeps its own lower bound f_lb.  A ``fold``
-    receives the iterate after t gradient steps of the whole run in column t;
-    outer-loop restarts jump to the running best point without consuming an
-    iteration and are not folded.  A DivergedError names the run's iteration.
+    each outer loop; each row keeps its own lower bound f_lb.  An ``observer``
+    receives the iterate after t gradient steps of the whole run as iteration
+    t; outer-loop restarts jump to the running best point without consuming an
+    iteration and are not observed.  A DivergedError names the run's iteration.
     """
     first = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T1)
     inner = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T2)
@@ -335,7 +300,7 @@ def _dlgnd_stages(objective, oracle, x0, cfg, rngs, fold=None, trial_base=None):
         if nu:
             f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
         stage = inner if nu else first
-        best = _StageBest(fold, offset)
+        best = _StageBest(observer, offset)
         try:
             _run_gnd_batch(objective, oracle, x_min, stage, rngs, best, f_lb=f_lb,
                            trial_base=trial_base)
@@ -345,9 +310,3 @@ def _dlgnd_stages(objective, oracle, x0, cfg, rngs, fold=None, trial_base=None):
         yield f_lb, x_min, v_min
         offset += stage.T
 
-
-def _run_dlgnd_batch(objective, oracle, x0, cfg, rngs, trial_base=None) -> DlGndTrace:
-    """The outer-loop trace of :func:`_dlgnd_stages`, stacked per row."""
-    lb, mins, vals = zip(*_dlgnd_stages(objective, oracle, x0, cfg, rngs, trial_base=trial_base))
-    return DlGndTrace(lb_history=np.stack(lb, axis=1), min_points=np.stack(mins, axis=1),
-                      min_values=np.stack(vals, axis=1))

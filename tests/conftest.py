@@ -1,8 +1,8 @@
 """Shared test oracles: adaptive quadrature, finite-difference gradients and a
-sequential double loop.
+sequential double loop; plus ``stacked_dlgnd``, which reads the batched one.
 
-These stay deliberately independent of the package's evaluation paths: the
-quadrature oracle integrates the defining integrand directly, the
+The oracles stay deliberately independent of the package's evaluation paths:
+the quadrature oracle integrates the defining integrand directly, the
 finite-difference oracle never touches an analytic gradient, and the double
 loop chains single GND runs instead of using the batched implementation.
 """
@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from gndopt import GndConfig, gnd_run
+from gndopt.solver import _dlgnd_stages
 
 pytest_plugins = ("pytester",)
 
@@ -101,3 +102,13 @@ def sequential_dlgnd(objective, oracle, x0, cfg, rng):
         vals.append(traj.best_value())
         stages.append(traj)
     return np.array(lb), np.array(mins), np.array(vals), stages
+
+
+def stacked_dlgnd(objective, oracle, x0s, cfg, rngs, observer=None):
+    """The batched double loop's outer-loop trace, stacked per row.
+
+    Returns ``(lb_history, min_points, min_values)`` of shapes (m, N+1),
+    (m, N+1, d) and (m, N+1): row i is trajectory i's trace.
+    """
+    stages = _dlgnd_stages(objective, oracle, x0s, cfg, rngs, observer)
+    return tuple(np.stack(arrays, axis=1) for arrays in zip(*stages))

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import central_difference_gradient, j1_value_quadrature
+from conftest import central_difference_gradient, j1_value_quadrature, stacked_dlgnd
 
 from gndopt import (ExperimentConfig, GndConfig, DlGndConfig, RngStream, SgOracle,
                     compute_nk, contraction_check, dlgnd_schedule,
@@ -19,7 +19,6 @@ from gndopt import (ExperimentConfig, GndConfig, DlGndConfig, RngStream, SgOracl
                     regularity_constants_grid, run_monte_carlo,
                     stopping_time_check, symmetric_log_grid)
 from gndopt.cli import main as cli_main
-from gndopt.solver import _run_dlgnd_batch
 
 
 def report(cid, label, ok):
@@ -163,9 +162,9 @@ def test_criterion_07_double_loop_lower_bound():
     # The 100 runs as one batch: row i is dlgnd_run on stream (2025, i), bit for bit.
     rngs = [RngStream(2025, run) for run in range(100)]
     x0 = np.array([-20.0 + 40.0 * rng.uniforms(2) for rng in rngs])
-    batch = _run_dlgnd_batch(rast, oracle, x0, cfg, rngs)
+    lb_rows, _, min_rows = stacked_dlgnd(rast, oracle, x0, cfg, rngs)
     runs_small, runs_incr, runs_noninc = 0, 0, 0
-    for lb, mv in zip(batch.lb_history, batch.min_values):
+    for lb, mv in zip(lb_rows, min_rows):
         runs_small += abs(lb[-1]) <= 1e-2
         runs_incr += all(lb[i + 1] > lb[i] for i in range(len(lb) - 1) if mv[i] > lb[i])
         runs_noninc += bool(np.all(np.diff(mv) <= 0.0))

@@ -5,7 +5,7 @@ import pytest
 
 from gndopt import (ExperimentConfig, GndConfig, ParameterError, barrier_check,
                     check_eta_constraint, gnd_iteration_bound, gnd_schedule,
-                    j1_stationary_points, make_quadratic, nearly_convex_gate, sigma_of,
+                    j1_stationary_points, make_quadratic, nearly_convex_gate,
                     stopping_time_check)
 from gndopt.errors import (require_finite, require_integer, require_nonnegative,
                            require_positive, require_unit_interval)
@@ -74,13 +74,14 @@ def _experiment(**changes):
                                  x0=[5.0], seed=0), "M must be finite, got nan"),
     (lambda: barrier_check(make_quadratic(1.0, 1), [math.nan], 0.5),
      "x_hat must be finite, got nan"),
-    (lambda: sigma_of(1.0, math.nan, 1.0, 0.0), "s must be finite, got nan"),
-    (lambda: sigma_of(1.0, [0.5, -1.0], 1.0, 0.0), "s must be nonnegative, got -1.0"),
-    (lambda: sigma_of(1.0, 1.0, 1.0, math.nan), "f_lb must be finite, got nan"),
+    (lambda: GndConfig(eta=0.0, s=0.5, f_lb=0.0, T=5), "eta must be positive, got 0.0"),
+    (lambda: GndConfig(eta=0.4, s=math.nan, f_lb=0.0, T=5), "s must be finite, got nan"),
+    (lambda: GndConfig(eta=0.4, s=-1.0, f_lb=0.0, T=5), "s must be nonnegative, got -1.0"),
+    (lambda: GndConfig(eta=0.4, s=0.5, f_lb=math.nan, T=5), "f_lb must be finite, got nan"),
 ], ids=["check_eta_constraint-s", "nearly_convex_gate-L", "GndConfig-T-nan", "GndConfig-T-inf",
         "ExperimentConfig-trials", "j1_stationary_points-n", "gnd_iteration_bound-y0_dist_sq",
-        "stopping_time_check-M", "barrier_check-x_hat", "sigma_of-s-nan", "sigma_of-s-array",
-        "sigma_of-f_lb"])
+        "stopping_time_check-M", "barrier_check-x_hat", "GndConfig-eta-zero", "GndConfig-s-nan",
+        "GndConfig-s-negative", "GndConfig-f_lb-nan"])
 def test_library_probe_is_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()

@@ -296,6 +296,19 @@ class TestContractionCheck:
         with pytest.raises(ParameterError, match="trials must be a positive integer"):
             contraction_check(make_quadratic(1.0, 1), r=1.0, trials=trials, x0=[5.0], T=5, seed=0)
 
+    @pytest.mark.parametrize("slack,message", [
+        (math.nan, "slack must be finite, got nan"),
+        (math.inf, "slack must be finite, got inf"),
+        (0.0, "slack must be positive, got 0.0"),
+        (-1.1, "slack must be positive, got -1.1"),
+    ])
+    def test_bad_slack_rejected(self, slack, message):
+        # A NaN or infinite slack gave NaN or infinite bounds that never failed.
+        with pytest.raises(ParameterError) as err:
+            contraction_check(make_quadratic(1.0, 1), r=1.0, trials=20, x0=[5.0], T=30, seed=0,
+                              slack=slack)
+        assert str(err.value) == message
+
 
 class TestStoppingTimeCheck:
     def test_threshold_above_start_gives_certain_dip(self):

@@ -6,34 +6,49 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import sequential_dlgnd
+from conftest import sequential_dlgnd, stacked_dlgnd
 from hypothesis import strategies as st
 
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, dlgnd_run, gd_run, gnd_run,
                     j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
-                    run_monte_carlo, sigma_of, solver, stopping_time_check)
-from gndopt.solver import (GUARD_LIMIT, _dlgnd_stages, _Fold, _Recorder, _run_dlgnd_batch,
-                           _run_gnd_batch)
+                    run_monte_carlo, solver, stopping_time_check)
+from gndopt.experiments import _Fold
+from gndopt.solver import GUARD_LIMIT, _dlgnd_stages, _Recorder, _run_gnd_batch
 
 DATA = Path(__file__).parent / "data"
 
 
-class TestSigmaOf:
-    def test_direct_formula(self):
-        assert sigma_of(1.5, 4.0, 2.0, 0.0) == pytest.approx(math.sqrt(12.0), rel=1e-15)
+class TestSigma:
+    """sigma_t = sqrt(eta * s * max(f(x_{t+1/2}) - f_lb, 0)) as the kernel forms it."""
+
+    def test_kernel_formula_bitwise(self):
+        rast = make_rastrigin(1.0, 1.0, 0.05, 3)
+        cfg = GndConfig(eta=0.05, s=2.0, f_lb=2.0, T=80)
+        traj = gnd_run(rast, SgOracle(rast, 0.3), [4.0, -3.0, 2.5], cfg, RngStream(8, 1))
+        # eta * s is formed first, as in the kernel.
+        want = np.sqrt(cfg.eta * cfg.s * np.maximum(traj.half_values - cfg.f_lb, 0.0))
+        assert traj.sigmas.tobytes() == want.tobytes()
+        assert np.any(traj.sigmas == 0.0) and np.any(traj.sigmas > 0.0)
 
     def test_zero_gap(self):
-        assert sigma_of(0.7, 3.0, 1.25, 1.25) == 0.0
+        # From the minimizer without oracle noise every half-step value is f_lb.
+        q = make_quadratic(1.0, 2)
+        cfg = GndConfig(eta=0.4, s=3.0, f_lb=q.min_value, T=5)
+        traj = gnd_run(q, SgOracle(q, 0.0), q.minimizer, cfg, RngStream(0, 0))
+        assert np.all(traj.half_values == cfg.f_lb)
+        assert np.all(traj.sigmas == 0.0)
+        assert np.all(traj.points == q.minimizer)
 
-    def test_positive_part_clamps(self):
-        assert sigma_of(0.4, 0.5, -1.0, 0.0) == 0.0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            sigma_of(0.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ParameterError):
-            sigma_of(1.0, -1.0, 1.0, 0.0)
+    def test_clamped_gap_runs_as_gd(self):
+        # f_lb lies above every half-step value, so the gap is clamped to 0.
+        q = make_quadratic(1.0, 1)
+        cfg = GndConfig(eta=0.4, s=0.5, f_lb=10.0, T=20)
+        traj = gnd_run(q, SgOracle(q, 0.0), [3.0], cfg, RngStream(5, 0))
+        assert np.all(traj.half_values < cfg.f_lb)
+        assert np.all(traj.sigmas == 0.0)
+        gd = gd_run(q, SgOracle(q, 0.0), [3.0], cfg.eta, cfg.T, RngStream(5, 0))
+        assert np.array_equal(traj.points, gd.points)
 
 
 class TestGndRun:
@@ -424,12 +439,11 @@ class TestDlGndBatch:
     @staticmethod
     def _assert_rows_equal_reference(objective, oracle, cfg, seed, x0s):
         rngs = [RngStream(seed, i) for i in range(len(x0s))]
-        batch = _run_dlgnd_batch(objective, oracle, x0s, cfg, rngs)
+        batch = stacked_dlgnd(objective, oracle, x0s, cfg, rngs)
         for i, x0 in enumerate(x0s):
-            lb, mins, vals, _ = sequential_dlgnd(objective, oracle, x0, cfg, RngStream(seed, i))
-            assert np.array_equal(batch.lb_history[i], lb)
-            assert np.array_equal(batch.min_points[i], mins)
-            assert np.array_equal(batch.min_values[i], vals)
+            reference = sequential_dlgnd(objective, oracle, x0, cfg, RngStream(seed, i))[:3]
+            for got, want in zip(batch, reference):
+                assert np.array_equal(got[i], want)
 
     def test_criterion_7_streams_equal_sequential_reference(self):
         rast = make_rastrigin(1.0, 1.0, 0.01, 2)
@@ -456,21 +470,19 @@ class TestDlGndBatch:
         cfg = DlGndConfig(eta=eta, s=s, f_lb0=f_lb0, gamma=gamma, N=N, T1=T1, T2=T2)
         x0s = np.array(data.draw(st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
                                           min_size=m, max_size=m)))
-        batch = _run_dlgnd_batch(rast, oracle, x0s, cfg, [RngStream(seed, i) for i in range(m)])
+        batch = stacked_dlgnd(rast, oracle, x0s, cfg, [RngStream(seed, i) for i in range(m)])
         for i in range(m):
             trace = dlgnd_run(rast, oracle, x0s[i], cfg, RngStream(seed, i))
-            assert np.array_equal(batch.lb_history[i], trace.lb_history)
-            assert np.array_equal(batch.min_points[i], trace.min_points)
-            assert np.array_equal(batch.min_values[i], trace.min_values)
+            for got, want in zip(batch, (trace.lb_history, trace.min_points, trace.min_values)):
+                assert np.array_equal(got[i], want)
 
         def folded(rows):
             fold = _Fold(rast.minimizer, 1.0, cfg.total_iterations + 1)
             rngs = [RngStream(seed, i) for i in rows]
-            stages = _dlgnd_stages(rast, oracle, x0s[rows], cfg, rngs, fold=fold)
-            return fold, [np.stack(arrays, axis=1) for arrays in zip(*stages)]
+            return fold, stacked_dlgnd(rast, oracle, x0s[rows], cfg, rngs, fold)
 
         fold, trace = folded(range(m))  # folding does not change the trace
-        for got, want in zip(trace, (batch.lb_history, batch.min_points, batch.min_values)):
+        for got, want in zip(trace, batch):
             assert np.array_equal(got, want)
         singles = [folded([i])[0] for i in range(m)]
         assert np.array_equal(fold.total, _added_in_row_order([f.total for f in singles]))
@@ -495,7 +507,7 @@ class TestDlGndBatch:
         rngs = [RngStream(0, i) for i in range(5)]
         fold = _Fold(q.minimizer, 1e-6, cfg.total_iterations + 1)
         with pytest.raises(DivergedError) as err:
-            list(_dlgnd_stages(q, SgOracle(q, 0.3), np.full((5, 2), 2.0), cfg, rngs, fold=fold,
+            list(_dlgnd_stages(q, SgOracle(q, 0.3), np.full((5, 2), 2.0), cfg, rngs, fold,
                                trial_base=40))
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, call, "gradient")
 
@@ -511,10 +523,14 @@ class TestGndConfig:
 
 
 @settings(max_examples=30, deadline=None)
-@given(eta=st.floats(0.01, 2.0), s=st.floats(0.0, 5.0),
-       f_half=st.floats(-100.0, 100.0), f_lb=st.floats(-100.0, 100.0))
-def test_sigma_of_nonnegative_and_monotone_in_gap(eta, s, f_half, f_lb):
-    sig = float(sigma_of(eta, s, f_half, f_lb))
-    assert sig >= 0.0
-    wider = float(sigma_of(eta, s, f_half, f_lb - 1.0))
-    assert wider >= sig
+@given(eta=st.floats(0.01, 2.0), s=st.floats(0.0, 5.0), x0=st.floats(-10.0, 10.0),
+       f_lb=st.floats(-100.0, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_step_zero_sigma_nonnegative_and_monotone_in_f_lb(eta, s, x0, f_lb, seed):
+    # f_lb enters no draw and no value before sigma_0, so f(x_{1/2}) is shared.
+    q = make_quadratic(1.0, 1)
+    oracle = SgOracle(q, 0.5)
+    low, high = (gnd_run(q, oracle, [x0], GndConfig(eta=eta, s=s, f_lb=lb, T=1),
+                         RngStream(seed, 0)) for lb in (f_lb, f_lb - 1.0))
+    assert low.half_values[0] == high.half_values[0]
+    assert low.sigmas[0] >= 0.0
+    assert high.sigmas[0] >= low.sigmas[0]
