@@ -7,10 +7,14 @@ infinite value as ``"{name} must be finite, got {value}"``, a finite value out
 of range as ``"{name} must be positive, got {value}"`` (or ``be nonnegative``,
 ``be a positive integer``, ``be a nonnegative integer``, ``be an integer >=
 {least}``, ``lie in (0, 1)``).  A value passes only by satisfying its range,
-so NaN fails every check.
+so NaN fails every check.  A point (:func:`require_point`) may come in any shape
+that holds exactly ``dim`` numbers, all finite; else it fails as ``"{name} must
+have shape ({dim},), got {shape}"`` or names its first non-finite coordinate.
 """
 
 import math
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -51,6 +55,19 @@ def require_finite(**params) -> None:
     for name, value in params.items():
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def require_point(dim: int, **points):
+    """Return each point as a new float64 ``(dim,)`` array; a single point comes back bare."""
+    out = []
+    for name, point in points.items():
+        p = np.array(point, dtype=np.float64).reshape(-1)
+        if p.shape != (dim,):
+            raise ParameterError(f"{name} must have shape ({dim},), got {p.shape}")
+        if not np.isfinite(p).all():
+            require_finite(**{name: p[~np.isfinite(p)][0]})
+        out.append(p)
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 def _require(params, holds, wording) -> None:

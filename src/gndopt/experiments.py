@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from gndopt.errors import (ParameterError, require_finite, require_integer, require_nonnegative,
-                           require_positive)
+                           require_point, require_positive)
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
 from gndopt.solver import (DlGndConfig, GndConfig, _check_gradients, _dlgnd_stages,
@@ -62,9 +62,6 @@ class ExperimentConfig:
         require_nonnegative(sg_noise_r=self.sg_noise_r)
         require_positive(threshold=self.threshold)
         low, high = _init_box(self)
-        for name, bound in (("init_low", low), ("init_high", high)):
-            if not np.all(np.isfinite(bound)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if np.any(low > high):
             raise ParameterError("init box must satisfy low <= high per coordinate")
 
@@ -114,9 +111,8 @@ class StoppingTimeReport:
 
 def _init_box(cfg: ExperimentConfig) -> tuple[Array, Array]:
     d = cfg.objective.dim
-    low = np.broadcast_to(np.asarray(cfg.init_low, dtype=np.float64), (d,)).copy()
-    high = np.broadcast_to(np.asarray(cfg.init_high, dtype=np.float64), (d,)).copy()
-    return low, high
+    low, high = ([b] * d if np.ndim(b) == 0 else b for b in (cfg.init_low, cfg.init_high))
+    return require_point(d, init_low=low, init_high=high)
 
 
 def _add_in_trial_order(sums, t, rows):
@@ -222,10 +218,7 @@ def _shadow_fold(objective: Objective, r: float, x0, T: int, trials: int,
     alpha, big_l = objective.certificate
     sched = gnd_schedule(alpha, big_l, r, f_gap=0.0)
     cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=objective.min_value, T=T)
-    x0 = np.asarray(x0, dtype=np.float64).reshape(objective.dim)
-    if not np.all(np.isfinite(x0)):
-        raise ParameterError("x0 must be finite")
-    x0_rows = np.tile(x0, (int(trials), 1))
+    x0_rows = np.tile(require_point(objective.dim, x0=x0), (int(trials), 1))
     rngs = [RngStream(seed, i) for i in range(int(trials))]
     fold = _ShadowFold(objective, sched.eta, T + 1)
     _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs, fold, trial_base=0)
@@ -291,8 +284,6 @@ def _fmt(v: float) -> str:
 
 def write_csv(series: StatsSeries, path) -> None:
     """Write ``t,mse,ncp`` rows at full double precision."""
-    if not str(path):
-        raise OSError("empty output path")
     lines = ["t,mse,ncp\n"]
     for t in range(len(series.mse)):
         lines.append(f"{t},{_fmt(series.mse[t])},{_fmt(series.ncp[t])}\n")
@@ -344,8 +335,6 @@ def _log_panel(name: str, values: Array, y_offset: float) -> list[str]:
 
 def write_svg(series: StatsSeries, path) -> None:
     """Render the two statistics as stacked log-y line charts in a standalone SVG."""
-    if not str(path):
-        raise OSError("empty output path")
     body = []
     body.extend(_log_panel("MSE", series.mse, 0.0))
     body.extend(_log_panel("N-CP", series.ncp, float(_SVG_H)))

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from gndopt.errors import (ParameterError, require_integer, require_positive,
+from gndopt.errors import (ParameterError, require_integer, require_point, require_positive,
                            require_unit_interval)
 
 Array = np.ndarray
@@ -103,7 +103,7 @@ def make_quadratic(alpha: float, d: int, x_star=None) -> Objective:
     require_positive(alpha=alpha)
     require_integer(1, d=d)
     d = int(d)
-    x_star = np.zeros(d) if x_star is None else np.asarray(x_star, dtype=np.float64).reshape(d).copy()
+    x_star = np.zeros(d) if x_star is None else require_point(d, x_star=x_star)
     alpha = float(alpha)
 
     def value(x):
@@ -319,7 +319,7 @@ def make_objective(function: str, **params) -> Objective:
     missing = [key for key in keys if key not in params]
     if missing:
         raise ParameterError(f"objective {function!r} requires keys {missing}")
-    extra = [key for key in params if key not in keys and key != "x_star"]
+    extra = [key for key in params if key not in keys]
     if extra:
         raise ParameterError(f"objective {function!r} got unknown keys {extra}")
     kwargs = dict(params)

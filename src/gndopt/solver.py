@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from gndopt.errors import (DivergedError, ParameterError, require_finite, require_integer,
-                           require_nonnegative, require_positive, require_unit_interval)
+                           require_nonnegative, require_point, require_positive,
+                           require_unit_interval)
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
 
@@ -222,17 +223,10 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, observer, *, f_lb=None,
         observer.step(t + 1, x, v, vh, sig)
 
 
-def _as_x0(objective, x0) -> Array:
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x0.shape != (objective.dim,):
-        raise ParameterError(f"x0 must have shape ({objective.dim},), got {x0.shape}")
-    return x0
-
-
 def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig,
             rng: RngStream) -> Trajectory:
     """Run GND for cfg.T iterations from x0, recording the full trajectory."""
-    x0 = _as_x0(objective, x0)
+    x0 = require_point(objective.dim, x0=x0)
     rec = _Recorder(1, cfg.T, x0.size)
     _run_gnd_batch(objective, oracle, x0[None, :], cfg, [rng], rec)
     # argmin returns the first minimizing index
@@ -254,7 +248,7 @@ def dlgnd_run(objective: Objective, oracle: SgOracle, x0, cfg: DlGndConfig,
     double-loop run owns exactly one stream like any other trajectory.  This
     is the one-row case of :func:`_dlgnd_stages`.
     """
-    x0 = _as_x0(objective, x0)
+    x0 = require_point(objective.dim, x0=x0)
     lb, mins, vals = zip(*_dlgnd_stages(objective, oracle, x0[None, :], cfg, [rng]))
     return DlGndTrace(lb_history=np.concatenate(lb), min_points=np.concatenate(mins),
                       min_values=np.concatenate(vals))

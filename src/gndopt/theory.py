@@ -31,7 +31,7 @@ import numpy as np
 
 from gndopt.errors import (ConstraintNotCheckableError, GateViolationError, ParameterError,
                            require_finite, require_integer, require_nonnegative,
-                           require_positive, require_unit_interval)
+                           require_point, require_positive, require_unit_interval)
 from gndopt.objectives import Objective, make_j2
 from gndopt.sampling import RngStream
 
@@ -173,7 +173,7 @@ def dlgnd_schedule(alpha: float, L: float, r: float, eps: float, zeta: float,
 
     n_outer = max(1, math.ceil(math.log((1.0 - gamma) + gamma * f_gap0 / eps) / gamma))
     zeta_prime = zeta / (n_outer + 1)
-    t1 = max(1, math.ceil(200.0 / eta_lam * math.log(y0_dist_sq / (100.0 * b0 * zeta_prime))))
+    t1 = max(1, gnd_iteration_bound(base, y0_dist_sq, zeta_prime))
     t2_arg = 2.0 * (1.0 + eta * L) ** 2 * L * b0 / (shrink * (alpha - beta) * b_eps * zeta_prime)
     t2 = max(1, math.ceil(200.0 / eta_lam * math.log(t2_arg)))
     return DoubleLoopSchedule(b0=b0, b_eps=b_eps, gamma=gamma, N=n_outer,
@@ -216,7 +216,9 @@ def nearly_convex_gate(alpha: float, L: float, d: int) -> float:
     return 0.25 * math.sqrt(alpha**5 / (d * L**3))
 
 
-def _grid_and_diffs(objective: Objective, grid) -> tuple[Array, Array, Array]:
+def _grid_values(objective: Objective, grid,
+                 alpha: float) -> tuple[Array, Array, Array, Array, float]:
+    """The grid as rows, x - x*, ||x - x*||^2 and f - f* per row, and the deviation bound."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim == 1:
         grid = grid[:, None]
@@ -224,11 +226,14 @@ def _grid_and_diffs(objective: Objective, grid) -> tuple[Array, Array, Array]:
         raise ParameterError("grid must be non-empty")
     if grid.shape[-1] != objective.dim:
         raise ParameterError(f"grid points must have dimension {objective.dim}, got {grid.shape[-1]}")
+    if not np.isfinite(grid).all():
+        require_finite(grid=grid[~np.isfinite(grid)][0])
     diffs = grid - objective.minimizer
     r2 = np.sum(diffs * diffs, axis=-1)
     if np.any(r2 == 0.0):
         raise ParameterError("grid must exclude the minimizer")
-    return grid, diffs, r2
+    fv = np.atleast_1d(objective.value(grid)) - objective.min_value
+    return grid, diffs, r2, fv, float(np.max(2.0 * np.abs(fv - 0.5 * alpha * r2) / r2))
 
 
 def estimate_beta_quadratic(objective: Objective, alpha: float, grid) -> float:
@@ -240,9 +245,7 @@ def estimate_beta_quadratic(objective: Objective, alpha: float, grid) -> float:
     grid, and is reported as such.
     """
     require_positive(alpha=alpha)
-    grid, _, r2 = _grid_and_diffs(objective, grid)
-    fv = np.atleast_1d(objective.value(grid)) - objective.min_value
-    return float(np.max(2.0 * np.abs(fv - 0.5 * alpha * r2) / r2))
+    return _grid_values(objective, grid, alpha)[-1]
 
 
 def _certified(objective: Objective, alpha, L) -> tuple[float, float]:
@@ -266,8 +269,7 @@ def regularity_constants_grid(objective: Objective, grid, alpha: float | None = 
     0/0 next to the minimizer.
     """
     alpha, L = _certified(objective, alpha, L)
-    grid, diffs, r2 = _grid_and_diffs(objective, grid)
-    fv = np.atleast_1d(objective.value(grid)) - objective.min_value
+    grid, diffs, r2, fv, beta_hat = _grid_values(objective, grid, alpha)
     g = objective.gradient(grid)
     mu_r = float(np.min(np.sum(g * diffs, axis=-1) / r2))
     mask = fv > 1e-14
@@ -275,7 +277,6 @@ def regularity_constants_grid(objective: Objective, grid, alpha: float | None = 
         raise ParameterError("grid has no point with f(x) > f* + 1e-14")
     mu_p = float(np.min(np.sum(g * g, axis=-1)[mask] / (2.0 * fv[mask])))
     mu_q = float(np.min(2.0 * fv / r2))
-    beta_hat = float(np.max(2.0 * np.abs(fv - 0.5 * alpha * r2) / r2))
     gate = nearly_convex_gate(alpha, L, objective.dim)
     return RegularityReport(mu_r_hat=mu_r, mu_p_hat=mu_p, mu_q_hat=mu_q,
                             beta_hat=beta_hat, nc_gate=bool(beta_hat <= gate),
@@ -319,9 +320,7 @@ def barrier_check(objective: Objective, x_hat, radius: float,
         raise ParameterError(f"barrier check supports d in {{1, 2}}, got d={d}")
     require_positive(radius=radius)
     alpha, L = _certified(objective, alpha, L)
-    x_hat = np.asarray(x_hat, dtype=np.float64).reshape(d)
-    for x_i in x_hat:
-        require_finite(x_hat=x_i)
+    x_hat = require_point(d, x_hat=x_hat)
     dist = math.sqrt(float(np.sum((x_hat - objective.minimizer) ** 2)))
     if radius >= dist:
         raise ParameterError(

@@ -3,11 +3,14 @@ from functools import partial
 
 import pytest
 
-from gndopt import (ExperimentConfig, GndConfig, ParameterError, barrier_check,
-                    check_eta_constraint, gnd_iteration_bound, gnd_schedule,
-                    j1_stationary_points, make_quadratic, nearly_convex_gate,
-                    stopping_time_check)
-from gndopt.errors import (require_finite, require_integer, require_nonnegative,
+import numpy as np
+
+from gndopt import (DlGndConfig, ExperimentConfig, GndConfig, ParameterError, RngStream,
+                    SgOracle, barrier_check, check_eta_constraint, contraction_check, dlgnd_run,
+                    estimate_beta_quadratic, gnd_iteration_bound, gnd_run, gnd_schedule,
+                    j1_stationary_points, make_objective, make_quadratic, nearly_convex_gate,
+                    regularity_constants_grid, stopping_time_check)
+from gndopt.errors import (require_finite, require_integer, require_nonnegative, require_point,
                            require_positive, require_unit_interval)
 
 _CHECKS = [require_finite, require_positive, require_nonnegative, require_unit_interval,
@@ -53,6 +56,33 @@ def test_first_bad_parameter_is_named():
         require_positive(a=1, b=0, c=math.nan)
 
 
+@pytest.mark.parametrize("point,message", [
+    ([1.0, 2.0, 3.0], "p must have shape (2,), got (3,)"),
+    ([[1.0, 2.0], [3.0, 4.0]], "p must have shape (2,), got (4,)"),
+    (5.0, "p must have shape (2,), got (1,)"),
+    ([1.0, math.nan], "p must be finite, got nan"),
+    ([-math.inf, math.nan], "p must be finite, got -inf"),
+])
+def test_bad_point_is_named(point, message):
+    with pytest.raises(ParameterError) as err:
+        require_point(2, p=point)
+    assert str(err.value) == message
+
+
+def test_point_of_any_shape_holding_dim_numbers_passes_as_a_copy():
+    column = np.array([[1.0], [2.0]])
+    point = require_point(2, x=column)
+    assert point.shape == (2,) and point.dtype == np.float64 and point.tolist() == [1.0, 2.0]
+    assert not np.shares_memory(point, column)
+    low, high = require_point(2, low=[1, 2], high=[[3], [4]])
+    assert low.tolist() == [1.0, 2.0] and high.tolist() == [3.0, 4.0]
+    x_star = [1.0, -2.0]
+    q = make_quadratic(1.0, 2, x_star=x_star)
+    x_star[0] = 7.0
+    assert q.minimizer.tolist() == [1.0, -2.0]
+    assert q.value(np.array([1.0, -2.0])) == 0.0
+
+
 def _experiment(**changes):
     q = make_quadratic(1.0, 1)
     params = dict(objective=q, algorithm=GndConfig(eta=0.1, s=0.0, f_lb=0.0, T=1),
@@ -78,10 +108,37 @@ def _experiment(**changes):
     (lambda: GndConfig(eta=0.4, s=math.nan, f_lb=0.0, T=5), "s must be finite, got nan"),
     (lambda: GndConfig(eta=0.4, s=-1.0, f_lb=0.0, T=5), "s must be nonnegative, got -1.0"),
     (lambda: GndConfig(eta=0.4, s=0.5, f_lb=math.nan, T=5), "f_lb must be finite, got nan"),
+    (lambda: contraction_check(make_quadratic(1.0, 1), r=1.0, trials=5, x0=[1.0, 2.0], T=5,
+                               seed=0), "x0 must have shape (1,), got (2,)"),
+    (lambda: stopping_time_check(make_quadratic(1.0, 1), r=1.0, ell=1.0, M=5, trials=5,
+                                 x0=[1.0, 2.0], seed=0), "x0 must have shape (1,), got (2,)"),
+    (lambda: barrier_check(make_quadratic(1.0, 2), [1.0, 2.0, 3.0], 0.1),
+     "x_hat must have shape (2,), got (3,)"),
+    (lambda: make_quadratic(1.0, 2, x_star=[1.0, math.nan]), "x_star must be finite, got nan"),
+    (lambda: make_quadratic(1.0, 2, x_star=[1.0, 2.0, 3.0]),
+     "x_star must have shape (2,), got (3,)"),
+    (lambda: _experiment(objective=make_quadratic(1.0, 2), init_low=np.array([1.0, 2.0, 3.0])),
+     "init_low must have shape (2,), got (3,)"),
+    (lambda: gnd_run(make_quadratic(1.0, 1), SgOracle(make_quadratic(1.0, 1), 0.0), [math.nan],
+                     GndConfig(eta=0.4, s=0.5, f_lb=0.0, T=5), RngStream(0, 0)),
+     "x0 must be finite, got nan"),
+    (lambda: dlgnd_run(make_quadratic(1.0, 1), SgOracle(make_quadratic(1.0, 1), 0.0), [math.nan],
+                       DlGndConfig(eta=0.4, s=0.5, f_lb0=-1.0, gamma=0.5, N=1, T1=2, T2=2),
+                       RngStream(0, 0)), "x0 must be finite, got nan"),
+    (lambda: regularity_constants_grid(make_quadratic(1.0, 1), [[math.nan], [1.0]]),
+     "grid must be finite, got nan"),
+    (lambda: estimate_beta_quadratic(make_quadratic(1.0, 1), 1.0, [[1.0], [math.inf]]),
+     "grid must be finite, got inf"),
+    (lambda: make_objective("j1", n=7, k=1, x_star=[1.0]),
+     "objective 'j1' got unknown keys ['x_star']"),
 ], ids=["check_eta_constraint-s", "nearly_convex_gate-L", "GndConfig-T-nan", "GndConfig-T-inf",
         "ExperimentConfig-trials", "j1_stationary_points-n", "gnd_iteration_bound-y0_dist_sq",
         "stopping_time_check-M", "barrier_check-x_hat", "GndConfig-eta-zero", "GndConfig-s-nan",
-        "GndConfig-s-negative", "GndConfig-f_lb-nan"])
+        "GndConfig-s-negative", "GndConfig-f_lb-nan", "contraction_check-x0-shape",
+        "stopping_time_check-x0-shape", "barrier_check-x_hat-shape", "make_quadratic-x_star-nan",
+        "make_quadratic-x_star-shape", "ExperimentConfig-init_low-shape", "gnd_run-x0-nan",
+        "dlgnd_run-x0-nan", "regularity_constants_grid-grid-nan",
+        "estimate_beta_quadratic-grid-inf", "make_objective-j1-x_star"])
 def test_library_probe_is_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()

@@ -310,6 +310,15 @@ class TestFactory:
         with pytest.raises(ParameterError):
             make_objective("j1", n=7)
 
+    @pytest.mark.parametrize("function,params", [
+        ("quadratic", dict(alpha=2.0, dim=1)), ("j1", dict(n=7, k=1)),
+        ("j2", dict(eps=0.1, R=1.0)), ("rastrigin", dict(a=1, b=1, c=0.05, dim=1)),
+    ])
+    def test_x_star_is_an_unknown_key(self, function, params):
+        with pytest.raises(ParameterError) as err:
+            make_objective(function, x_star=[1.0], **params)
+        assert str(err.value) == f"objective {function!r} got unknown keys ['x_star']"
+
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=1, max_value=250))
