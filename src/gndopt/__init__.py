@@ -14,10 +14,9 @@ from gndopt.experiments import (ContractionReport, ExperimentConfig, StatsSeries
                                 StoppingTimeReport, contraction_check,
                                 run_monte_carlo, stopping_time_check, write_csv,
                                 write_svg)
-from gndopt.objectives import (FourierSinCoefficients, Objective, compute_nk,
-                               fourier_sin_coefficients, j1_stationary_points,
-                               make_j1, make_j2, make_objective, make_quadratic,
-                               make_rastrigin)
+from gndopt.objectives import (Objective, compute_nk, fourier_sin_coefficients,
+                               j1_stationary_points, make_j1, make_j2, make_objective,
+                               make_quadratic, make_rastrigin)
 from gndopt.sampling import (RngStream, SgOracle, sample_scaled_gaussian,
                              scaled_gaussian_norm_moments)
 from gndopt.solver import (DlGndConfig, DlGndTrace, GndConfig, Trajectory,

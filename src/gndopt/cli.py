@@ -99,15 +99,22 @@ def _fixed(v: float) -> str:
 
 
 def _cmd_schedule(args) -> int:
+    # The double-loop flags default to None, so one given without --eps is named.
+    loop = dict(fgap0=None, zeta=0.05, beta=0.0, y0sq=1.0)
+    for key in loop:
+        if getattr(args, key) is not None:
+            if args.eps is None:
+                raise ParameterError(f"--{key} is read only with --eps")
+            loop[key] = getattr(args, key)
     sched = gnd_schedule(args.alpha, args.L, args.r, args.fgap)
     pairs = [("eta", _fixed(sched.eta)), ("lambda", _fixed(sched.lam)),
              ("s", _fixed(sched.s)), ("b", _fixed(sched.b)),
              ("eta_lambda", _fixed(sched.eta_lam))]
     if args.eps is not None:
-        if args.fgap0 is None:
+        if loop["fgap0"] is None:
             raise ParameterError("--fgap0 is required together with --eps")
-        dl = dlgnd_schedule(args.alpha, args.L, args.r, args.eps, args.zeta,
-                            args.fgap0, args.y0sq, args.beta)
+        dl = dlgnd_schedule(args.alpha, args.L, args.r, args.eps, loop["zeta"],
+                            loop["fgap0"], loop["y0sq"], loop["beta"])
         pairs += [("b0", _fixed(dl.b0)), ("b_eps", _fixed(dl.b_eps)),
                   ("gamma", _fixed(dl.gamma)), ("N", dl.N), ("T1", dl.T1),
                   ("T2", dl.T2), ("zeta_prime", _fixed(dl.zeta_prime))]
@@ -117,7 +124,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_check(args) -> int:
     # The objective gets the flags given, so make_objective names one it does not
-    # read; alpha and d default to 1 where it reads them.  --alpha is also the
+    # read; alpha and dim default to 1 where it reads them.  --alpha is also the
     # surrogate's alpha, for every function.
     reads = _FACTORIES[args.function][1]
     params = {key: 1 for key in ("alpha", "dim") if key in reads}
@@ -175,7 +182,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_stbound(args) -> int:
-    obj = make_quadratic(alpha=args.alpha, d=args.d)
+    obj = make_quadratic(alpha=args.alpha, dim=args.d)
     report = stopping_time_check(obj, r=args.r, ell=args.ell, M=args.M,
                                  trials=args.trials, x0=np.full(args.d, args.x0),
                                  seed=args.seed)
@@ -190,9 +197,10 @@ def _cmd_stbound(args) -> int:
 # The config schema: each section's keys and their types, in sidecar order.  An
 # [algorithm] section holds "algorithm" plus the keys of that algorithm; T may
 # stand in [experiment] instead.  Defaults come from BENCH_PRESETS via _preset.
+# [objective] holds "function" plus each objective's keys, once, from _FACTORIES.
 _SCHEMA = {
-    "objective": dict(function=str, n=int, k=int, eps=float, R=float, alpha=float,
-                      a=float, b=float, c=float, dim=int),
+    "objective": {"function": str, **{key: kind for _, keys in _FACTORIES.values()
+                                      for key, kind in keys.items()}},
     "gnd": dict(eta=float, s=float, f_lb=float, T=int),
     "gd": dict(eta=float, T=int),
     "dlgnd": dict(eta=float, s=float, f_lb0=float, gamma=float, N=int, T1=int, T2=int),
@@ -324,25 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--fgap", type=float, default=0.0, help="f* - f_lb for the single-loop schedule")
     p.add_argument("--eps", type=float, default=None, help="target accuracy; enables the double-loop schedule")
-    p.add_argument("--zeta", type=float, default=0.05)
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--zeta", type=float, default=None, help="confidence 1 - zeta (default 0.05)")
+    p.add_argument("--beta", type=float, default=None, help="surrogate deviation (default 0)")
     p.add_argument("--fgap0", type=float, default=None, help="f* - f_lb^0 for the double-loop schedule")
-    p.add_argument("--y0sq", type=float, default=1.0, help="||y0 - x*||^2 used by the iteration bounds")
+    p.add_argument("--y0sq", type=float, default=None,
+                   help="||y0 - x*||^2 used by the iteration bounds (default 1)")
     p.add_argument("--csv", default=None, help="also write key,value rows to this path")
     p.set_defaults(fn=_cmd_schedule)
 
     p = sub.add_parser("check", help="grid audit of regularity constants for a named objective")
-    p.add_argument("--function", required=True, choices=["quadratic", "j1", "j2", "rastrigin"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--function", required=True, choices=list(_FACTORIES))
+    for key, kind in _SCHEMA["objective"].items():
+        if key != "function":  # dim is spelled --d, as in moments and stbound
+            p.add_argument("--d" if key == "dim" else f"--{key}", dest=key, type=kind)
     p.add_argument("--L", type=float, default=None)
-    p.add_argument("--d", dest="dim", type=int, default=None)
     p.add_argument("--grid-lo", type=float, default=1e-6)
     p.add_argument("--grid-hi", type=float, default=10.0)
     p.add_argument("--grid-points", type=int, default=100_000)

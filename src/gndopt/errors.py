@@ -53,7 +53,8 @@ class DivergedError(RuntimeError):
 def require_finite(**params) -> None:
     """Raise ParameterError naming the first parameter that is NaN or infinite."""
     for name, value in params.items():
-        if not math.isfinite(value):
+        # an int is finite; math.isfinite would overflow on one beyond float range
+        if not isinstance(value, int) and not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
 
 

@@ -59,6 +59,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_integer(1, trials=self.trials)
+        require_integer(0, seed=self.seed)
         require_nonnegative(sg_noise_r=self.sg_noise_r)
         require_positive(threshold=self.threshold)
         low, high = _init_box(self)

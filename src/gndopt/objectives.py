@@ -22,7 +22,7 @@ property is actually established for the given parameters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ class Objective:
     minimizer: Array
     min_value: float
     certificate: Optional[tuple[float, float]] = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.minimizer.setflags(write=False)
@@ -54,9 +53,8 @@ class Objective:
                 raise ParameterError(f"certificate must satisfy 0 < alpha <= L, got {self.certificate}")
 
 
-@dataclass(frozen=True)
-class FourierSinCoefficients:
-    """Coefficients of the finite cosine expansion of an even power of sine.
+def fourier_sin_coefficients(n: int) -> Array:
+    """The read-only coefficients c[0..n] of the cosine expansion of sin(t)**(2n).
 
     For a positive integer ``n``,
 
@@ -64,17 +62,6 @@ class FourierSinCoefficients:
 
     with ``c[j] = binom(2n, n - j) / 4**n``.  The coefficients are positive,
     strictly decreasing, and satisfy ``c[0] + 2*sum(c[1:]) == 1``.
-    """
-
-    n: int
-    c: Array
-
-    def __post_init__(self):
-        self.c.setflags(write=False)
-
-
-def fourier_sin_coefficients(n: int) -> FourierSinCoefficients:
-    """Compute c[j] = binom(2n, n-j)/4**n by the stable ratio recurrence.
 
     ``c[0]`` is evaluated through log-gamma; successive coefficients follow
     from ``c[j+1] = c[j] * (n - j) / (n + j + 1)``, which is exact in real
@@ -90,7 +77,8 @@ def fourier_sin_coefficients(n: int) -> FourierSinCoefficients:
     c = np.empty(n + 1)
     c[0] = c0
     c[1:] = c0 * np.cumprod(ratios)
-    return FourierSinCoefficients(n=n, c=c)
+    c.setflags(write=False)
+    return c
 
 
 def _scalarize(v):
@@ -98,12 +86,12 @@ def _scalarize(v):
     return v[()] if isinstance(v, np.ndarray) else v
 
 
-def make_quadratic(alpha: float, d: int, x_star=None) -> Objective:
+def make_quadratic(alpha: float, dim: int, x_star=None) -> Objective:
     """Isotropic quadratic bowl ``alpha/2 * ||x - x*||^2`` with certificate ``(alpha, alpha)``."""
     require_positive(alpha=alpha)
-    require_integer(1, d=d)
-    d = int(d)
-    x_star = np.zeros(d) if x_star is None else require_point(d, x_star=x_star)
+    require_integer(1, dim=dim)
+    dim = int(dim)
+    x_star = np.zeros(dim) if x_star is None else require_point(dim, x_star=x_star)
     alpha = float(alpha)
 
     def value(x):
@@ -114,9 +102,8 @@ def make_quadratic(alpha: float, d: int, x_star=None) -> Objective:
         return alpha * (np.asarray(x, dtype=np.float64) - x_star)
 
     return Objective(
-        name="quadratic", dim=d, value=value, gradient=gradient,
+        name="quadratic", dim=dim, value=value, gradient=gradient,
         minimizer=x_star, min_value=0.0, certificate=(alpha, alpha),
-        params={"alpha": alpha, "dim": d},
     )
 
 
@@ -163,12 +150,12 @@ def make_j1(n: int, k: int) -> Objective:
     """
     require_integer(1, n=n, k=k)
     n, k = int(n), int(k)
-    coeffs = fourier_sin_coefficients(n)
-    c0 = coeffs.c[0]
+    c = fourier_sin_coefficients(n)
+    c0 = c[0]
     j = np.arange(1, n + 1, dtype=np.float64)
     sign = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
-    w_sin = sign * coeffs.c[1:] / j
-    w_sq = sign * coeffs.c[1:] / (j * j)
+    w_sin = sign * c[1:] / j
+    w_sq = sign * c[1:] / (j * j)
     scale = 1.0 + 1.0 / k
     two_n = 2 * n
     h = n // 2
@@ -205,7 +192,6 @@ def make_j1(n: int, k: int) -> Objective:
     return Objective(
         name="j1", dim=1, value=value, gradient=gradient,
         minimizer=np.zeros(1), min_value=0.0, certificate=certificate,
-        params={"n": n, "k": k},
     )
 
 
@@ -271,23 +257,22 @@ def make_j2(eps: float, R: float) -> Objective:
     return Objective(
         name="j2", dim=1, value=value, gradient=gradient,
         minimizer=np.zeros(1), min_value=0.0, certificate=certificate,
-        params={"eps": eps, "R": R},
     )
 
 
-def make_rastrigin(a: float, b: float, c: float, d: int) -> Objective:
-    """Rastrigin function a*(d - sum_i cos(b*x_i)) + c*||x||^2 with minimum 0 at the origin.
+def make_rastrigin(a: float, b: float, c: float, dim: int) -> Objective:
+    """Rastrigin function a*(dim - sum_i cos(b*x_i)) + c*||x||^2 with minimum 0 at the origin.
 
     No nearly-convexity certificate is attached; the function is used as an
     uncertified stress benchmark.
     """
     require_positive(a=a, b=b, c=c)
-    require_integer(1, d=d)
-    a, b, c, d = float(a), float(b), float(c), int(d)
+    require_integer(1, dim=dim)
+    a, b, c, dim = float(a), float(b), float(c), int(dim)
 
     def value(x):
         x = np.asarray(x, dtype=np.float64)
-        return _scalarize(a * (d - np.add.reduce(np.cos(b * x), axis=-1))
+        return _scalarize(a * (dim - np.add.reduce(np.cos(b * x), axis=-1))
                           + c * np.add.reduce(x * x, axis=-1))
 
     def gradient(x):
@@ -295,22 +280,23 @@ def make_rastrigin(a: float, b: float, c: float, d: int) -> Objective:
         return a * b * np.sin(b * x) + 2.0 * c * x
 
     return Objective(
-        name="rastrigin", dim=d, value=value, gradient=gradient,
-        minimizer=np.zeros(d), min_value=0.0, certificate=None,
-        params={"a": a, "b": b, "c": c, "dim": d},
+        name="rastrigin", dim=dim, value=value, gradient=gradient,
+        minimizer=np.zeros(dim), min_value=0.0, certificate=None,
     )
 
 
+# The objectives by config name, each with the keys its factory takes and their
+# types.  The config schema and `gndopt check`'s flags are read from this table.
 _FACTORIES = {
-    "quadratic": (make_quadratic, ("alpha", "dim")),
-    "j1": (make_j1, ("n", "k")),
-    "j2": (make_j2, ("eps", "R")),
-    "rastrigin": (make_rastrigin, ("a", "b", "c", "dim")),
+    "j1": (make_j1, dict(n=int, k=int)),
+    "j2": (make_j2, dict(eps=float, R=float)),
+    "quadratic": (make_quadratic, dict(alpha=float, dim=int)),
+    "rastrigin": (make_rastrigin, dict(a=float, b=float, c=float, dim=int)),
 }
 
 
 def make_objective(function: str, **params) -> Objective:
-    """Construct an objective by config-file name: quadratic, j1, j2, or rastrigin."""
+    """Construct an objective by its config name in ``_FACTORIES`` from exactly its keys."""
     if function not in _FACTORIES:
         raise ParameterError(
             f"unknown objective {function!r}; valid names: {', '.join(sorted(_FACTORIES))}"
@@ -322,7 +308,4 @@ def make_objective(function: str, **params) -> Objective:
     extra = [key for key in params if key not in keys]
     if extra:
         raise ParameterError(f"objective {function!r} got unknown keys {extra}")
-    kwargs = dict(params)
-    if "dim" in kwargs:
-        kwargs["d"] = kwargs.pop("dim")
-    return factory(**kwargs)
+    return factory(**params)

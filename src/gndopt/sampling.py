@@ -34,13 +34,12 @@ class RngStream:
     __slots__ = ("origin", "generator")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        master_seed, stream_index = int(master_seed), int(stream_index)
-        if master_seed < 0 or master_seed > 2**64 - 1:
-            raise ParameterError(f"master_seed must fit in 64 unsigned bits, got {master_seed}")
-        if stream_index < 0 or stream_index > 2**64 - 1:
-            raise ParameterError(f"stream_index must fit in 64 unsigned bits, got {stream_index}")
-        self.origin = (master_seed, stream_index)
-        key = np.array([master_seed, stream_index], dtype=np.uint64)
+        require_integer(0, master_seed=master_seed, stream_index=stream_index)
+        self.origin = (int(master_seed), int(stream_index))
+        for name, value in zip(("master_seed", "stream_index"), self.origin):
+            if value > 2**64 - 1:
+                raise ParameterError(f"{name} must fit in 64 unsigned bits, got {value}")
+        key = np.array(self.origin, dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
     def normals(self, shape, out: Array | None = None) -> Array:

@@ -319,6 +319,7 @@ def barrier_check(objective: Objective, x_hat, radius: float,
     if d not in (1, 2):
         raise ParameterError(f"barrier check supports d in {{1, 2}}, got d={d}")
     require_positive(radius=radius)
+    require_integer(1, boundary_points=boundary_points)
     alpha, L = _certified(objective, alpha, L)
     x_hat = require_point(d, x_hat=x_hat)
     dist = math.sqrt(float(np.sum((x_hat - objective.minimizer) ** 2)))

@@ -87,7 +87,7 @@ def test_criterion_03_gradient_correctness():
                 1.0 + math.sqrt(float(np.sum(analytic * analytic))))
             worst = max(worst, rel)
             if rel > 1e-6:
-                failures.append(f"{objective.name}{objective.params}: rel={rel:.2e} at {x}")
+                failures.append(f"{objective.name}: rel={rel:.2e} at {x}")
                 break
     ok = report(3, f"analytic vs central differences (worst rel {worst:.2e})", not failures)
     assert ok, failures

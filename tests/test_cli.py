@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gndopt.cli import _SCHEMA, main
+from gndopt.cli import _SCHEMA, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,6 +20,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _subcommands():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+_COMMANDS = ["schedule", "check", "moments", "stbound", "run", "bench"]
+
+
+def test_the_six_subcommands():
+    assert list(_subcommands()) == _COMMANDS
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_subcommand_help_is_exit_0(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: gndopt {command}")
 
 
 class TestSchedule:
@@ -39,6 +60,21 @@ class TestSchedule:
         pairs = dict(line.split("=") for line in out.strip().splitlines())
         assert int(pairs["N"]) == 72
         assert float(pairs["gamma"]) == pytest.approx(0.0087141, abs=1e-7)
+
+    def test_double_loop_defaults(self, capsys):
+        base = ("schedule", "--alpha", "1", "--L", "1", "--eps", "0.01", "--fgap0", "1")
+        code, out, _ = run_cli(capsys, *base)
+        assert code == 0
+        assert run_cli(capsys, *base, "--zeta", "0.05", "--beta", "0", "--y0sq", "1") == (0, out, "")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--y0sq", "nan"), ("--zeta", "5"), ("--beta", "0.1"), ("--fgap0", "1"),
+    ])
+    def test_double_loop_flag_without_eps_is_exit_1(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "schedule", "--alpha", "1", "--L", "1", flag, value)
+        assert code == 1
+        assert err == f"gndopt: {flag} is read only with --eps\n"
+        assert out == ""
 
     def test_invalid_certificate_is_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "--alpha", "2", "--L", "1")
@@ -98,8 +134,10 @@ class TestCheck:
          "--grid-points must be a positive integer, got 0"),
         (["quadratic", "--n", "5"], "objective 'quadratic' got unknown keys ['n']"),
         (["j1", "--n", "112", "--k", "2", "--d", "3"], "objective 'j1' got unknown keys ['dim']"),
+        (["quadratic", "--d", "0"], "dim must be a positive integer, got 0"),
     ], ids=["L-nan", "alpha-inf", "grid-hi-inf", "rastrigin-a-inf", "grid-points-3-d1",
-            "grid-points-0-d1", "grid-points-0-d2", "n-unread-by-quadratic", "d-unread-by-j1"])
+            "grid-points-0-d1", "grid-points-0-d2", "n-unread-by-quadratic", "d-unread-by-j1",
+            "d-zero"])
     def test_bad_input_is_exit_1(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "check", "--function", *flags)
         assert code == 1
@@ -110,6 +148,19 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--function", "quadratic", "--grid-points", "4")
         assert code == 0
         assert "n_points=4\n" in out
+
+    def test_flags_dests_and_types(self):
+        check = _subcommands()["check"]
+        assert {(flag, action.dest, action.type) for action in check._actions
+                for flag in action.option_strings} == {
+            ("-h", "help", None), ("--help", "help", None), ("--function", "function", None),
+            ("--n", "n", int), ("--k", "k", int), ("--eps", "eps", float), ("--R", "R", float),
+            ("--a", "a", float), ("--b", "b", float), ("--c", "c", float),
+            ("--alpha", "alpha", float), ("--L", "L", float), ("--d", "dim", int),
+            ("--grid-lo", "grid_lo", float), ("--grid-hi", "grid_hi", float),
+            ("--grid-points", "grid_points", int), ("--seed", "seed", int), ("--csv", "csv", None)}
+        (function,) = [action for action in check._actions if action.dest == "function"]
+        assert sorted(function.choices) == ["j1", "j2", "quadratic", "rastrigin"]
 
 
 class TestMoments:
@@ -154,6 +205,10 @@ class TestStbound:
         assert code == 1
         assert err == f"gndopt: trials must be a positive integer, got {trials}\n"
         assert out == ""
+
+    def test_zero_dim_is_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "stbound", "--ell", "25", "--M", "5", "--d", "0")
+        assert (code, out, err) == (1, "", "gndopt: dim must be a positive integer, got 0\n")
 
 
 _BASE = '[objective]\nfunction = "j1"\nn = 7\nk = 1\n\n[experiment]\ntrials = 4\n'
@@ -267,6 +322,17 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(cfg), "--out", str(tmp_path), "--quiet")
         assert code == 1
         assert err == f"gndopt: {message}\n"
+
+    @pytest.mark.parametrize("objective", [
+        'function = "quadratic"\nalpha = 1\ndim = 0\n',
+        'function = "rastrigin"\na = 1\nb = 1\nc = 0.05\ndim = 0\n',
+    ], ids=["quadratic", "rastrigin"])
+    def test_zero_dim_is_named_as_dim(self, capsys, tmp_path, objective):
+        cfg = tmp_path / "exp.toml"
+        cfg.write_text(f"[objective]\n{objective}\n[experiment]\ntrials = 4\nT = 5\n")
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out", str(tmp_path), "--quiet")
+        assert code == 1
+        assert err == "gndopt: dim must be a positive integer, got 0\n"
 
     def test_bad_algorithm_is_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "exp.toml"

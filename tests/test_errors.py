@@ -131,6 +131,16 @@ def _experiment(**changes):
      "grid must be finite, got inf"),
     (lambda: make_objective("j1", n=7, k=1, x_star=[1.0]),
      "objective 'j1' got unknown keys ['x_star']"),
+    (lambda: make_objective("quadratic", alpha=1.0, dim=0), "dim must be a positive integer, got 0"),
+    (lambda: RngStream(1.5, 0), "master_seed must be a nonnegative integer, got 1.5"),
+    (lambda: RngStream(math.nan, 0), "master_seed must be finite, got nan"),
+    (lambda: RngStream(0, 2.7), "stream_index must be a nonnegative integer, got 2.7"),
+    (lambda: RngStream(2**2000, 0), f"master_seed must fit in 64 unsigned bits, got {2**2000}"),
+    (lambda: _experiment(seed=2.5), "seed must be a nonnegative integer, got 2.5"),
+    (lambda: _experiment(seed=math.nan), "seed must be finite, got nan"),
+    (lambda: _experiment(seed=-1), "seed must be a nonnegative integer, got -1"),
+    (lambda: barrier_check(make_quadratic(1.0, 2), [1.0, 1.0], 0.1, boundary_points=0),
+     "boundary_points must be a positive integer, got 0"),
 ], ids=["check_eta_constraint-s", "nearly_convex_gate-L", "GndConfig-T-nan", "GndConfig-T-inf",
         "ExperimentConfig-trials", "j1_stationary_points-n", "gnd_iteration_bound-y0_dist_sq",
         "stopping_time_check-M", "barrier_check-x_hat", "GndConfig-eta-zero", "GndConfig-s-nan",
@@ -138,7 +148,11 @@ def _experiment(**changes):
         "stopping_time_check-x0-shape", "barrier_check-x_hat-shape", "make_quadratic-x_star-nan",
         "make_quadratic-x_star-shape", "ExperimentConfig-init_low-shape", "gnd_run-x0-nan",
         "dlgnd_run-x0-nan", "regularity_constants_grid-grid-nan",
-        "estimate_beta_quadratic-grid-inf", "make_objective-j1-x_star"])
+        "estimate_beta_quadratic-grid-inf", "make_objective-j1-x_star",
+        "make_objective-quadratic-dim", "RngStream-seed-fraction", "RngStream-seed-nan",
+        "RngStream-index-fraction", "RngStream-seed-huge", "ExperimentConfig-seed-fraction",
+        "ExperimentConfig-seed-nan", "ExperimentConfig-seed-negative",
+        "barrier_check-boundary_points"])
 def test_library_probe_is_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()

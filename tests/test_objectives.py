@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gndopt import (ParameterError, compute_nk, fourier_sin_coefficients,
                     j1_stationary_points, make_j1, make_j2, make_objective,
                     make_quadratic, make_rastrigin)
+from gndopt.objectives import _FACTORIES
 
 
 class TestQuadratic:
@@ -39,32 +41,36 @@ class TestQuadratic:
 class TestFourierCoefficients:
     @pytest.mark.parametrize("n", [1, 2, 7, 112, 199, 400])
     def test_partition_identity(self, n):
-        c = fourier_sin_coefficients(n).c
+        c = fourier_sin_coefficients(n)
         assert c[0] + 2.0 * np.sum(c[1:]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 7, 112, 400])
     def test_strictly_decreasing_positive(self, n):
-        c = fourier_sin_coefficients(n).c
+        c = fourier_sin_coefficients(n)
         assert c[0] <= 1.0
         assert np.all(np.diff(c) < 0.0)
         assert np.all(c > 0.0)
 
     @pytest.mark.parametrize("n", [1, 7, 112, 199, 300])
     def test_recurrence_matches_direct_log_gamma(self, n):
-        c = fourier_sin_coefficients(n).c
+        c = fourier_sin_coefficients(n)
         j = np.arange(n + 1)
         direct = np.exp(
             [math.lgamma(2 * n + 1) - math.lgamma(n - jj + 1) - math.lgamma(n + jj + 1)
              - n * math.log(4.0) for jj in j])
         assert np.max(np.abs(c - direct) / direct) <= 1e-12
 
+    def test_n_plus_one_read_only_coefficients(self):
+        c = fourier_sin_coefficients(7)
+        assert c.shape == (8,) and not c.flags.writeable
+
     def test_expansion_reproduces_sine_power(self):
         n = 7
-        fc = fourier_sin_coefficients(n)
+        c = fourier_sin_coefficients(n)
         j = np.arange(1, n + 1)
         sign = (-1.0) ** j
         for t in np.linspace(-3.0, 3.0, 41):
-            series = fc.c[0] + 2.0 * np.sum(sign * fc.c[1:] * np.cos(2.0 * j * t))
+            series = c[0] + 2.0 * np.sum(sign * c[1:] * np.cos(2.0 * j * t))
             assert series == pytest.approx(math.sin(t) ** (2 * n), abs=1e-14)
 
 
@@ -132,7 +138,7 @@ class TestJ1:
 
 def _two_table_j1_value(x, n, k):
     """make_j1's value with a second sine table for sin(2jx): the bitwise oracle."""
-    c = fourier_sin_coefficients(n).c
+    c = fourier_sin_coefficients(n)
     j = np.arange(1, n + 1, dtype=np.float64)
     sign = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
     w_sin, w_sq = sign * c[1:] / j, sign * c[1:] / (j * j)
@@ -299,8 +305,21 @@ class TestFactory:
     def test_roundtrip_names(self):
         assert make_objective("j1", n=7, k=1).name == "j1"
         assert make_objective("quadratic", alpha=2.0, dim=3).dim == 3
-        assert make_objective("rastrigin", a=1, b=1, c=0.05, dim=2).params["c"] == 0.05
-        assert make_objective("j2", eps=0.1, R=1.0).params["R"] == 1.0
+        # a*(dim - 2) + c*(2*pi)^2 at x = (2*pi, 0), where both cosines are exactly 1
+        rast = make_objective("rastrigin", a=1, b=1, c=0.05, dim=2)
+        assert rast.value(np.array([2.0 * math.pi, 0.0])) == pytest.approx(0.05 * 4.0 * math.pi**2)
+        # 2R*log(x) = pi/2 at x = exp(pi/4), so the value is (1 + eps)/2 * x^2
+        x = math.exp(math.pi / 4.0)
+        assert make_objective("j2", eps=0.1, R=1.0).value(np.array([x])) == pytest.approx(
+            0.55 * x * x, rel=1e-12)
+
+    @pytest.mark.parametrize("function", list(_FACTORIES))
+    def test_table_keys_are_the_factory_parameters_without_default(self, function):
+        factory, keys = _FACTORIES[function]
+        required = {name: param.annotation
+                    for name, param in inspect.signature(factory).parameters.items()
+                    if param.default is inspect.Parameter.empty}
+        assert required == {key: kind.__name__ for key, kind in keys.items()}
 
     def test_unknown_function(self):
         with pytest.raises(ParameterError):
@@ -323,5 +342,5 @@ class TestFactory:
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=1, max_value=250))
 def test_fourier_partition_identity_property(n):
-    c = fourier_sin_coefficients(n).c
+    c = fourier_sin_coefficients(n)
     assert abs(c[0] + 2.0 * np.sum(c[1:]) - 1.0) <= 1e-12
