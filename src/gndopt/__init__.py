@@ -17,7 +17,7 @@ from gndopt.experiments import (ContractionReport, ExperimentConfig, StatsSeries
 from gndopt.objectives import (Objective, compute_nk, fourier_sin_coefficients,
                                j1_stationary_points, make_j1, make_j2, make_objective,
                                make_quadratic, make_rastrigin)
-from gndopt.sampling import (RngStream, SgOracle, sample_scaled_gaussian,
+from gndopt.sampling import (RngStream, SgOracle, fill_scaled_gaussian,
                              scaled_gaussian_norm_moments)
 from gndopt.solver import (DlGndConfig, DlGndTrace, GndConfig, Trajectory,
                            dlgnd_run, gd_run, gnd_run)

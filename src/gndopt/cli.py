@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from gndopt.errors import DivergedError, ParameterError, require_finite, require_integer
+from gndopt.errors import (DivergedError, ParameterError, require_finite, require_integer,
+                           require_uint64)
 from gndopt.experiments import (ExperimentConfig, run_monte_carlo, stopping_time_check,
                                 write_csv, write_svg)
 from gndopt.objectives import _FACTORIES, make_objective, make_quadratic
-from gndopt.sampling import RngStream, sample_scaled_gaussian, scaled_gaussian_norm_moments
+from gndopt.sampling import RngStream, fill_scaled_gaussian, scaled_gaussian_norm_moments
 from gndopt.solver import DlGndConfig, GndConfig
 from gndopt.theory import (ball_shell_grid, dlgnd_schedule, gnd_schedule,
                            j2_condition_table, regularity_constants_grid,
@@ -159,18 +160,17 @@ def _cmd_check(args) -> int:
 
 def _cmd_moments(args) -> int:
     require_integer(1, draws=args.draws)
+    require_uint64(seed=args.seed)
     exact = scaled_gaussian_norm_moments(args.d)
     rng = RngStream(args.seed, 0)
     chunk = max(1, min(args.draws, 10_000_000 // max(args.d, 1)))
+    block = np.empty((1, chunk, args.d))
     sums = np.zeros(4)
-    done = 0
-    while done < args.draws:
-        take = min(chunk, args.draws - done)
-        xi = sample_scaled_gaussian(args.d, rng, size=take)
+    for done in range(0, args.draws, chunk):
+        xi = fill_scaled_gaussian(block[:, :min(chunk, args.draws - done)], [rng], args.d)[0]
         norms = np.sqrt(np.sum(xi * xi, axis=-1))
         for p in range(4):
             sums[p] += float(np.sum(norms ** (p + 1)))
-        done += take
     mc = sums / args.draws
     pairs = []
     for p in range(4):

@@ -6,7 +6,8 @@ given and raise :class:`ParameterError` on the first bad one: a NaN or
 infinite value as ``"{name} must be finite, got {value}"``, a finite value out
 of range as ``"{name} must be positive, got {value}"`` (or ``be nonnegative``,
 ``be a positive integer``, ``be a nonnegative integer``, ``be an integer >=
-{least}``, ``lie in (0, 1)``).  A value passes only by satisfying its range,
+{least}``, ``lie in (0, 1)``, ``fit in 64 unsigned bits``; an integer wider
+than 64 bits by its bit length).  A value passes only by satisfying its range,
 so NaN fails every check.  A point (:func:`require_point`) may come in any shape
 that holds exactly ``dim`` numbers, all finite; else it fails as ``"{name} must
 have shape ({dim},), got {shape}"`` or names its first non-finite coordinate.
@@ -75,6 +76,8 @@ def _require(params, holds, wording) -> None:
     for name, value in params.items():
         require_finite(**{name: value})
         if not holds(value):
+            if isinstance(value, int) and value.bit_length() > 64:  # not thousands of digits
+                value = f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
             raise ParameterError(f"{name} must {wording}, got {value}")
 
 
@@ -101,3 +104,9 @@ def require_integer(least: int, **params) -> None:
     kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(least,
                                                                      f"an integer >= {least}")
     _require(params, lambda v: v >= least and v == int(v), f"be {kind}")
+
+
+def require_uint64(**params) -> None:
+    """Raise ParameterError naming the first parameter that is not an integer in [0, 2**64)."""
+    require_integer(0, **params)
+    _require(params, lambda v: int(v) < 2**64, "fit in 64 unsigned bits")

@@ -1,31 +1,29 @@
 """Monte-Carlo ensemble runner, verification experiments, and CSV/SVG output.
 
-Determinism contract: trial i draws from stream ``(seed, i)``, consuming its d
-initial-point uniforms before any solver draws.  Trials run sequentially in
-row blocks of a fixed size, and each trial depends only on its own stream.
-Aggregation is a fold in trial order: the solver's kernel hands x_0 and each
-step's iterate to a ``_Fold``, which adds the block's squared distances row by
-row into that iteration's running sum (and counts them into its running miss
-count) and then drops them, so memory grows with neither the trial count nor,
-beyond those two sums, the iteration count.  Adding rows in trial order
-(``_add_in_trial_order``) is what ``mean(axis=0)`` over the full trials x (T+1)
-matrix does, so the output bytes do not depend on the row-block size.  The
-shadow-distance checks (``contraction_check``, ``stopping_time_check``)
-fold the same way: ``_ShadowFold`` keeps per-t sums and per-trial start and
-minimum.  Diverged trajectories abort the whole experiment (silently dropping
-them would bias the error statistics).
+Determinism contract: trial i draws from stream ``(seed, i)``, first its d
+init-box uniforms when its start is drawn, and every ensemble runs through
+``_run_blocks``: in row blocks of a fixed size, in trial order.  The kernel
+hands x_0 and each step's iterate to an observer (``_Fold``, ``_ShadowFold``)
+that adds the block's squared distances into that iteration's running sum one
+row at a time, as ``mean(axis=0)`` over the full trials x (T+1) matrix does
+(``_add_in_trial_order``).  So the output bytes do not depend on the block
+size, and memory grows with neither T nor the trial count (beyond the
+per-iteration sums and the shadow checks' 16 bytes a trial).  Diverged
+trajectories abort the whole experiment (silently dropping them would bias
+the error statistics).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from gndopt.errors import (ParameterError, require_finite, require_integer, require_nonnegative,
-                           require_point, require_positive)
+                           require_point, require_positive, require_uint64)
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream, SgOracle
 from gndopt.solver import (DlGndConfig, GndConfig, _check_gradients, _dlgnd_stages,
@@ -59,7 +57,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_integer(1, trials=self.trials)
-        require_integer(0, seed=self.seed)
+        require_uint64(seed=self.seed)
         require_nonnegative(sg_noise_r=self.sg_noise_r)
         require_positive(threshold=self.threshold)
         low, high = _init_box(self)
@@ -141,19 +139,22 @@ class _Fold:
         _add_in_trial_order(self.total, t, d2)
 
 
-def _fold_block(cfg: ExperimentConfig, oracle: SgOracle, low: Array, span: Array,
-                i0: int, i1: int, fold: _Fold) -> None:
-    """Run trials i0..i1-1 and fold their squared distances to the minimizer."""
-    obj = cfg.objective
-    rngs = [RngStream(cfg.seed, i) for i in range(i0, i1)]
-    x0 = np.empty((i1 - i0, obj.dim))
-    for row, rng in enumerate(rngs):
-        x0[row] = low + span * rng.uniforms(obj.dim)
-    if isinstance(cfg.algorithm, GndConfig):
-        _run_gnd_batch(obj, oracle, x0, cfg.algorithm, rngs, fold, trial_base=i0)
-    else:
-        for _ in _dlgnd_stages(obj, oracle, x0, cfg.algorithm, rngs, fold, trial_base=i0):
-            pass  # the outer-loop trace is not part of the statistics
+def _run_blocks(objective, oracle, algorithm, trials, seed, first_row, observer) -> None:
+    """Run the trials ``_CHUNK`` at a time, trial i on stream ``(seed, i)`` from ``first_row(rng)``.
+
+    ``observer`` sees the steps of one block after the other, in trial order.
+    """
+    for i0 in range(0, trials, _CHUNK):
+        rngs = [RngStream(seed, i) for i in range(i0, min(i0 + _CHUNK, trials))]
+        x0 = np.empty((len(rngs), objective.dim))
+        for row, rng in enumerate(rngs):
+            x0[row] = first_row(rng)
+        if isinstance(algorithm, GndConfig):
+            _run_gnd_batch(objective, oracle, x0, algorithm, rngs, observer, trial_base=i0)
+        else:  # the outer-loop trace is not part of the statistics
+            deque(_dlgnd_stages(objective, oracle, x0, algorithm, rngs, observer,
+                                trial_base=i0), maxlen=0)
+        del rngs, x0  # no block's streams outlive it into the next
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> StatsSeries:
@@ -162,53 +163,57 @@ def run_monte_carlo(cfg: ExperimentConfig) -> StatsSeries:
     The kernel folds each step's squared distances into the running sums, so
     no more than one iteration's distances of one row block are live at a time.
     """
-    oracle = SgOracle(cfg.objective, cfg.sg_noise_r)
+    obj = cfg.objective
     low, high = _init_box(cfg)
-    fold = _Fold(cfg.objective.minimizer, cfg.threshold * cfg.threshold,
-                 cfg.total_iterations + 1)
-    for i0 in range(0, cfg.trials, _CHUNK):
-        _fold_block(cfg, oracle, low, high - low, i0, min(i0 + _CHUNK, cfg.trials), fold)
+    fold = _Fold(obj.minimizer, cfg.threshold * cfg.threshold, cfg.total_iterations + 1)
+    _run_blocks(obj, SgOracle(obj, cfg.sg_noise_r), cfg.algorithm, cfg.trials, cfg.seed,
+                lambda rng: low + (high - low) * rng.uniforms(obj.dim), fold)
     return StatsSeries(mse=fold.total / cfg.trials, ncp=fold.misses / cfg.trials,
                        trials=cfg.trials)
 
 
 class _ShadowFold:
-    """Per-t sums of d2_t = ||y_t - x*||^2, y_t = x_t - eta*grad f(x_t), over all trials at once.
+    """Per-t sums over the trials of d2_t = ||y_t - x*||^2, y_t = x_t - eta*grad f(x_t).
 
-    ``step(t, x)`` evaluates and guards grad f(x_t) as iteration t, then folds the
-    two passes of ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` over the trials x
-    (T+1) matrix: d2_t into ``total[t]``, then (d2_t - total[t]/trials)^2 into
-    ``dev2[t]``.  Per trial it keeps d2_0 (``start``) and the running minimum (``least``).
+    ``step(t, x)`` evaluates and guards grad f(x_t) as iteration t and sums d2_t,
+    or given the first pass's ``means``, (d2_t - means[t])^2: the two passes of
+    ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` over the trials x (T+1) matrix.
+    Per trial it keeps d2_0 (``start``) and the running minimum (``least``).
     """
 
-    def __init__(self, objective, eta, width):
-        self.objective, self.eta = objective, eta
-        self.total, self.dev2 = np.zeros(width), np.zeros(width)
-        self.start, self.least = None, np.inf
+    def __init__(self, objective, eta, width, trials, means=None):
+        self.objective, self.eta, self.means = objective, eta, means
+        self.total, self.start, self.least = np.zeros(width), np.empty(trials), np.empty(trials)
+        self.rows = slice(0, 0)  # the block's trials
 
     def step(self, t, x, *_):
+        if not t:
+            self.rows = slice(self.rows.stop, self.rows.stop + len(x))
         g = self.objective.gradient(x)
-        _check_gradients(g, t, 0)
+        _check_gradients(g, t, self.rows.start)
         diff = x - self.eta * g - self.objective.minimizer
         d2 = np.add.reduce(diff * diff, axis=-1)
-        self._sum_into(self.total, t, d2)
-        dev = d2 - self.total[t] / len(d2)
-        self._sum_into(self.dev2, t, dev * dev)
-        self.least = np.minimum(self.least, d2)
-        if t == 0:
-            self.start = d2
+        if not t:
+            self.start[self.rows] = self.least[self.rows] = d2
+        np.minimum(self.least[self.rows], d2, out=self.least[self.rows])
+        if len(self.total) > 1:
+            _add_in_trial_order(self.total, t, self._term(t, d2))
 
-    @staticmethod
-    def _sum_into(sums, t, rows):
-        if len(sums) > 1:
-            _add_in_trial_order(sums, t, rows)
-        else:  # numpy reduces a one-column matrix (T = 0) pairwise
-            sums[t] = np.add.reduce(rows)
+    def _term(self, t, d2):
+        if self.means is None:
+            return d2
+        dev = d2 - self.means[t]
+        return dev * dev
+
+    def sums(self) -> Array:
+        """The per-t sums; numpy reduces a one-column matrix (T = 0) pairwise, from ``start``."""
+        if len(self.total) > 1:
+            return self.total
+        return np.add.reduce(self._term(0, self.start), keepdims=True)
 
 
-def _shadow_fold(objective: Objective, r: float, x0, T: int, trials: int,
-                 seed: int) -> tuple[_ShadowFold, Schedule]:
-    """Run the fixed-x0 GND ensemble in one kernel call through a :class:`_ShadowFold`.
+def _shadow(objective, r, x0, T, trials, seed, means=None) -> tuple[_ShadowFold, Schedule]:
+    """Run the fixed-x0 GND ensemble through a :class:`_ShadowFold`.
 
     The certified schedule with f_lb = f* reduces b to the oracle term eta*r^2/lam.
     The kernel guards f(x_t) before the fold evaluates grad f(x_t).
@@ -216,13 +221,13 @@ def _shadow_fold(objective: Objective, r: float, x0, T: int, trials: int,
     if objective.certificate is None:
         raise ParameterError("a certified objective is required")
     require_integer(1, trials=trials)
+    require_uint64(seed=seed)
     alpha, big_l = objective.certificate
     sched = gnd_schedule(alpha, big_l, r, f_gap=0.0)
     cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=objective.min_value, T=T)
-    x0_rows = np.tile(require_point(objective.dim, x0=x0), (int(trials), 1))
-    rngs = [RngStream(seed, i) for i in range(int(trials))]
-    fold = _ShadowFold(objective, sched.eta, T + 1)
-    _run_gnd_batch(objective, SgOracle(objective, r), x0_rows, cfg, rngs, fold, trial_base=0)
+    point = require_point(objective.dim, x0=x0)
+    fold = _ShadowFold(objective, sched.eta, T + 1, int(trials), means)
+    _run_blocks(objective, SgOracle(objective, r), cfg, int(trials), seed, lambda rng: point, fold)
     return fold, sched
 
 
@@ -235,12 +240,12 @@ def contraction_check(objective: Objective, r: float, trials: int, x0, T: int,
     standard errors of the ensemble mean, at every t.
     """
     require_positive(slack=slack)
-    fold, sched = _shadow_fold(objective, r, x0, T, trials, seed)
-    means = fold.total / trials
-    if trials > 1:
-        se = np.sqrt(fold.dev2 / (trials - 1)) / math.sqrt(trials)
-    else:
-        se = np.zeros_like(means)
+    fold, sched = _shadow(objective, r, x0, T, trials, seed)
+    means = fold.sums() / trials
+    se = np.zeros_like(means)
+    if trials > 1:  # a second pass over the same streams sums the squared deviations
+        dev2 = _shadow(objective, r, x0, T, trials, seed, means)[0].sums()
+        se = np.sqrt(dev2 / (trials - 1)) / math.sqrt(trials)
     rho = 1.0 - sched.eta_lam / 100.0
     t = np.arange(T + 1)
     bounds = slack * (rho**t * fold.start[0] + 100.0 * sched.b) + 3.0 * se
@@ -264,7 +269,7 @@ def stopping_time_check(objective: Objective, r: float, ell: float, M: int,
     require_positive(r=r)
     require_finite(ell=ell)
     require_integer(0, M=M)
-    fold, sched = _shadow_fold(objective, r, x0, int(M), trials, seed)
+    fold, sched = _shadow(objective, r, x0, int(M), trials, seed)
     floor = 100.0 * sched.b
     theta = 1.0 - sched.eta_lam / 100.0
     # Rounding x - floor is monotone in x, so the running minimum dips below

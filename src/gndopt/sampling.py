@@ -1,4 +1,4 @@
-"""Deterministic random streams, the scaled Gaussian direction, and the SG oracle.
+"""Deterministic random streams, the scaled Gaussian noise law, and the SG oracle.
 
 Streams are Philox-backed (counter-based) and keyed by the pair
 ``(master_seed, stream_index)``: identical origins replay bit-identical draw
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gndopt.errors import ParameterError, require_integer, require_nonnegative
+from gndopt.errors import require_integer, require_nonnegative, require_uint64
 from gndopt.objectives import Objective
 
 Array = np.ndarray
@@ -34,11 +34,8 @@ class RngStream:
     __slots__ = ("origin", "generator")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        require_integer(0, master_seed=master_seed, stream_index=stream_index)
+        require_uint64(master_seed=master_seed, stream_index=stream_index)
         self.origin = (int(master_seed), int(stream_index))
-        for name, value in zip(("master_seed", "stream_index"), self.origin):
-            if value > 2**64 - 1:
-                raise ParameterError(f"{name} must fit in 64 unsigned bits, got {value}")
         key = np.array(self.origin, dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
@@ -53,14 +50,18 @@ class RngStream:
         return f"RngStream(master_seed={self.origin[0]}, stream_index={self.origin[1]})"
 
 
-def sample_scaled_gaussian(d: int, rng: RngStream, size: int | None = None) -> Array:
-    """Draw from N(0, I_d / d): ``size`` is None for one vector, else (size, d) rows.
+def fill_scaled_gaussian(out: Array, rngs, d: int) -> Array:
+    """Fill a (rows, span, cols) block with N(0, I_d / d) draws, in place, and return it.
 
-    Consumes exactly d normal draws per vector.
+    Row i takes its span x cols standard normals from ``rngs[i]`` in draw order,
+    then the block is divided by sqrt(d).  The solver's blocks have d columns
+    per iteration for each noise it draws (gradient noise, injected noise).
     """
     require_integer(1, d=d)
-    shape = (int(d),) if size is None else (int(size), int(d))
-    return rng.normals(shape) / math.sqrt(d)
+    for row, rng in enumerate(rngs):
+        rng.normals(out.shape[1:], out=out[row])
+    out /= math.sqrt(d)
+    return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ starts at T1 + (nu-1)*T2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from gndopt.errors import (DivergedError, ParameterError, require_finite, requir
                            require_nonnegative, require_point, require_positive,
                            require_unit_interval)
 from gndopt.objectives import Objective
-from gndopt.sampling import RngStream, SgOracle
+from gndopt.sampling import RngStream, SgOracle, fill_scaled_gaussian
 
 Array = np.ndarray
 
@@ -185,7 +184,6 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, observer, *, f_lb=None,
     draw_xi = s > 0.0
     cols = d * (int(draw_omega) + int(draw_xi))
     xi_cols = slice(d if draw_omega else 0, None)
-    sqrt_d = math.sqrt(d)
 
     v = objective.value(x)
     _check_values(v, 0, trial_base)
@@ -200,10 +198,7 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, observer, *, f_lb=None,
     for t in range(T):
         if cols and bpos == span:
             span = min(most, T - t)
-            fill = block[:, :span]
-            for row, rng in enumerate(rngs):
-                rng.normals((span, cols), out=fill[row])
-            fill /= sqrt_d
+            fill_scaled_gaussian(block[:, :span], rngs, d)
             bpos = 0
         g = objective.gradient(x)
         _check_gradients(g, t, trial_base)

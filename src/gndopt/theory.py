@@ -31,7 +31,8 @@ import numpy as np
 
 from gndopt.errors import (ConstraintNotCheckableError, GateViolationError, ParameterError,
                            require_finite, require_integer, require_nonnegative,
-                           require_point, require_positive, require_unit_interval)
+                           require_point, require_positive, require_uint64,
+                           require_unit_interval)
 from gndopt.objectives import Objective, make_j2
 from gndopt.sampling import RngStream
 
@@ -367,6 +368,7 @@ def ball_shell_grid(objective: Objective, lo: float, hi: float, num: int,
     """Seeded log-radial sample around the minimizer for d >= 2 objectives."""
     _require_log_range(lo, hi)
     require_integer(1, num=num)
+    require_uint64(seed=seed)
     rng = RngStream(seed, 0).generator
     radii = np.geomspace(lo, hi, int(num))
     dirs = rng.standard_normal((int(num), objective.dim))

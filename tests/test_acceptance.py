@@ -27,7 +27,7 @@ def report(cid, label, ok):
 
 
 def test_criterion_01_gaussian_norm_moments():
-    from gndopt import sample_scaled_gaussian, scaled_gaussian_norm_moments
+    from gndopt import fill_scaled_gaussian, scaled_gaussian_norm_moments
     start = time.time()
     failures = []
     for d in (1, 2, 10, 100):
@@ -35,9 +35,10 @@ def test_criterion_01_gaussian_norm_moments():
         rng = RngStream(42, d)
         sums = np.zeros(3)
         done, n = 0, 1_000_000
+        block = np.empty((1, 200_000, d))
         while done < n:
             take = min(200_000, n - done)
-            xi = sample_scaled_gaussian(d, rng, size=take)
+            xi = fill_scaled_gaussian(block[:, :take], [rng], d)[0]
             norms = np.sqrt(np.sum(xi * xi, axis=-1))
             sums += [np.sum(norms), np.sum(norms**2), np.sum(norms**4)]
             done += take

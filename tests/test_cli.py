@@ -42,6 +42,19 @@ def test_subcommand_help_is_exit_0(capsys, command):
     assert capsys.readouterr().out.startswith(f"usage: gndopt {command}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "j1-7-1", "--trials", "4", "--T", "5", "--quiet"],
+    ["stbound", "--ell", "25", "--M", "5"],
+    ["moments", "--d", "2", "--draws", "10"],
+    ["check", "--function", "quadratic", "--d", "2", "--grid-points", "10"],
+], ids=["bench", "stbound", "moments", "check"])
+def test_seed_beyond_64_bits_is_exit_1_naming_seed(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", str(2**64),
+                             *(["--out", str(tmp_path)] if argv[0] == "bench" else []))
+    assert (code, out) == (1, "")
+    assert err == "gndopt: seed must fit in 64 unsigned bits, got a 65-bit integer\n"
+
+
 class TestSchedule:
     def test_unit_certificate_values(self, capsys):
         code, out, _ = run_cli(capsys, "schedule", "--alpha", "1", "--L", "1",

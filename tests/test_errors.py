@@ -11,10 +11,11 @@ from gndopt import (DlGndConfig, ExperimentConfig, GndConfig, ParameterError, Rn
                     j1_stationary_points, make_objective, make_quadratic, nearly_convex_gate,
                     regularity_constants_grid, stopping_time_check)
 from gndopt.errors import (require_finite, require_integer, require_nonnegative, require_point,
-                           require_positive, require_unit_interval)
+                           require_positive, require_uint64, require_unit_interval)
 
 _CHECKS = [require_finite, require_positive, require_nonnegative, require_unit_interval,
-           partial(require_integer, 0), partial(require_integer, 1), partial(require_integer, 4)]
+           partial(require_integer, 0), partial(require_integer, 1), partial(require_integer, 4),
+           require_uint64]
 
 
 @pytest.mark.parametrize("check", _CHECKS)
@@ -35,6 +36,13 @@ def test_non_finite_value_is_named_as_not_finite(check, bad):
     (partial(require_integer, 1), 0, "x must be a positive integer, got 0"),
     (partial(require_integer, 1), 2.5, "x must be a positive integer, got 2.5"),
     (partial(require_integer, 4), 3, "x must be an integer >= 4, got 3"),
+    (require_uint64, -1, "x must be a nonnegative integer, got -1"),
+    (require_uint64, 2**64, "x must fit in 64 unsigned bits, got a 65-bit integer"),
+    (require_uint64, 1e30, "x must fit in 64 unsigned bits, got 1e+30"),
+    # wider than 64 bits: the message shows the bit length, not the digits
+    pytest.param(require_uint64, -10**5000,
+                 "x must be a nonnegative integer, got a negative 16610-bit integer",
+                 id="uint64-5001-digits"),
 ])
 def test_finite_value_out_of_range(check, value, message):
     with pytest.raises(ParameterError) as err:
@@ -46,6 +54,7 @@ def test_finite_value_out_of_range(check, value, message):
     (require_finite, -1e308), (require_positive, 5e-324), (require_nonnegative, 0.0),
     (require_unit_interval, 0.5), (partial(require_integer, 0), 0),
     (partial(require_integer, 1), 5.0), (partial(require_integer, 4), 4),
+    (require_uint64, 2**64 - 1), (require_uint64, 0),
 ])
 def test_value_in_range_passes(check, value):
     check(x=value)
@@ -135,12 +144,21 @@ def _experiment(**changes):
     (lambda: RngStream(1.5, 0), "master_seed must be a nonnegative integer, got 1.5"),
     (lambda: RngStream(math.nan, 0), "master_seed must be finite, got nan"),
     (lambda: RngStream(0, 2.7), "stream_index must be a nonnegative integer, got 2.7"),
-    (lambda: RngStream(2**2000, 0), f"master_seed must fit in 64 unsigned bits, got {2**2000}"),
+    (lambda: RngStream(2**2000, 0),
+     "master_seed must fit in 64 unsigned bits, got a 2001-bit integer"),
     (lambda: _experiment(seed=2.5), "seed must be a nonnegative integer, got 2.5"),
     (lambda: _experiment(seed=math.nan), "seed must be finite, got nan"),
     (lambda: _experiment(seed=-1), "seed must be a nonnegative integer, got -1"),
     (lambda: barrier_check(make_quadratic(1.0, 2), [1.0, 1.0], 0.1, boundary_points=0),
      "boundary_points must be a positive integer, got 0"),
+    (lambda: RngStream(10**5000, 0),
+     "master_seed must fit in 64 unsigned bits, got a 16610-bit integer"),
+    (lambda: RngStream(0, 2**64),
+     "stream_index must fit in 64 unsigned bits, got a 65-bit integer"),
+    (lambda: _experiment(seed=2**64), "seed must fit in 64 unsigned bits, got a 65-bit integer"),
+    (lambda: stopping_time_check(make_quadratic(1.0, 1), r=1.0, ell=1.0, M=5, trials=5,
+                                 x0=[5.0], seed=2**64),
+     "seed must fit in 64 unsigned bits, got a 65-bit integer"),
 ], ids=["check_eta_constraint-s", "nearly_convex_gate-L", "GndConfig-T-nan", "GndConfig-T-inf",
         "ExperimentConfig-trials", "j1_stationary_points-n", "gnd_iteration_bound-y0_dist_sq",
         "stopping_time_check-M", "barrier_check-x_hat", "GndConfig-eta-zero", "GndConfig-s-nan",
@@ -152,7 +170,8 @@ def _experiment(**changes):
         "make_objective-quadratic-dim", "RngStream-seed-fraction", "RngStream-seed-nan",
         "RngStream-index-fraction", "RngStream-seed-huge", "ExperimentConfig-seed-fraction",
         "ExperimentConfig-seed-nan", "ExperimentConfig-seed-negative",
-        "barrier_check-boundary_points"])
+        "barrier_check-boundary_points", "RngStream-seed-huge-digits", "RngStream-index-huge",
+        "ExperimentConfig-seed-huge", "stopping_time_check-seed-huge"])
 def test_library_probe_is_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()

@@ -229,6 +229,24 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
+    def test_shadow_peak_does_not_grow_with_trials(self):
+        # 60 iterations of a 512-row block fill the noise buffer to its cap;
+        # eight blocks add only the per-trial start and minimum (16 B a trial).
+        rows = experiments._CHUNK
+        assert 8 * rows * 20 * 60 >= solver._NOISE_BYTES
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                stopping_time_check(make_quadratic(1.0, 10), r=1.0, ell=25.0, M=60,
+                                    trials=trials, x0=np.full(10, 5.0), seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # first-call allocations are not part of any run below
+        assert peak(8 * rows) <= peak(rows) * 1.05
+
     def test_stopping_time_peak_does_not_grow_with_iterations(self):
         assert 8 * 256 * 20 * 120 >= solver._NOISE_BYTES
         self._shadow_peak("stopping_time", 5)  # first-call allocations
@@ -260,6 +278,19 @@ class TestContractionCheck:
     @pytest.mark.parametrize("trials", [1, 2, 500])
     @pytest.mark.parametrize("T", [0, 40])
     def test_bitwise_equal_to_the_distance_matrix(self, trials, T):
+        self._equal_to_the_distance_matrix(trials, T)
+
+    # Blocks of 7 rows split 500 trials into 72 kernel calls per pass, the
+    # last one short; blocks of 1 make every trial its own call.
+    @pytest.mark.parametrize("rows,trials", [(1, 30), (7, 500)])
+    @pytest.mark.parametrize("T", [0, 40])
+    def test_bitwise_equal_to_the_distance_matrix_in_row_blocks(self, monkeypatch, rows,
+                                                                 trials, T):
+        monkeypatch.setattr(experiments, "_CHUNK", rows)
+        self._equal_to_the_distance_matrix(trials, T)
+
+    @staticmethod
+    def _equal_to_the_distance_matrix(trials, T):
         # The quadratic's gradient is elementwise, so the shape it is evaluated
         # on cannot change a bit of y.
         q, r, seed, slack = make_quadratic(1.0, 2), 1.0, 6, 1.1
@@ -330,6 +361,17 @@ class TestStoppingTimeCheck:
         q = make_quadratic(1.0, 1)
         rep = stopping_time_check(q, r=1.0, ell=25.0, M=500, trials=300, x0=[20.0], seed=4)
         assert rep.empirical_p >= rep.analytic_bound - 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_row_block_size_does_not_change_the_report(self, monkeypatch, rows):
+        def check():
+            return stopping_time_check(make_quadratic(1.0, 2), r=1.0, ell=24.0, M=6, trials=90,
+                                       x0=[200.0, -80.0], seed=6)
+
+        reference = check()
+        assert 0.0 < reference.empirical_p < 1.0  # some trials dip, some do not
+        monkeypatch.setattr(experiments, "_CHUNK", rows)
+        assert check() == reference
 
     def test_requires_positive_r(self):
         q = make_quadratic(1.0, 1)

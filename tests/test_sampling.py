@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gndopt import (GndConfig, ParameterError, RngStream, SgOracle, gd_run, make_quadratic,
-                    make_rastrigin, sample_scaled_gaussian, scaled_gaussian_norm_moments,
-                    solver)
+from gndopt import (GndConfig, ParameterError, RngStream, SgOracle, fill_scaled_gaussian, gd_run,
+                    make_quadratic, make_rastrigin, scaled_gaussian_norm_moments, solver)
 
 
 class TestRngStream:
@@ -44,19 +43,32 @@ class TestRngStream:
 class TestScaledGaussian:
     def test_consumes_exactly_d_draws(self):
         rng = RngStream(7, 0)
-        v = sample_scaled_gaussian(3, rng)
+        v = fill_scaled_gaussian(np.empty((1, 1, 3)), [rng], 3)
         reference = RngStream(7, 0)
         raw = reference.normals(3)
-        assert np.array_equal(v, raw / math.sqrt(3))
+        assert np.array_equal(v[0, 0], raw / math.sqrt(3))
         # the next draw continues where the block ended
         assert rng.normals(1) == reference.normals(1)
 
     def test_batch_shape(self):
-        assert sample_scaled_gaussian(2, RngStream(0, 0), size=5).shape == (5, 2)
+        # Each row draws its (span, cols) block from its own stream; the
+        # scaling is by d, not by the column count (two noise groups of d).
+        out = np.full((3, 5, 4), np.nan)
+        assert fill_scaled_gaussian(out, [RngStream(0, i) for i in range(3)], 2) is out
+        for i in range(3):
+            assert np.array_equal(out[i], RngStream(0, i).normals((5, 4)) / math.sqrt(2))
 
     def test_bad_dimension(self):
         with pytest.raises(ParameterError):
-            sample_scaled_gaussian(0, RngStream(0, 0))
+            fill_scaled_gaussian(np.empty((1, 1, 1)), [RngStream(0, 0)], 0)
+
+    def test_solver_draws_this_law(self):
+        # GD's step noise is r*xi from the kernel's block: with eta = r = 1 at
+        # x = x* of the quadratic, x_1 = -xi exactly.
+        q = make_quadratic(1.0, 3)
+        traj = gd_run(q, SgOracle(q, 1.0), np.zeros(3), eta=1.0, T=1, rng=RngStream(4, 2))
+        xi = fill_scaled_gaussian(np.empty((1, 1, 3)), [RngStream(4, 2)], 3)[0, 0]
+        assert np.array_equal(traj.points[1], -xi)
 
 
 class TestExactMoments:
@@ -74,7 +86,7 @@ class TestExactMoments:
     @pytest.mark.parametrize("d", [1, 2, 10, 100])
     def test_monte_carlo_within_three_se(self, d):
         n = 200_000
-        xi = sample_scaled_gaussian(d, RngStream(42, d), size=n)
+        xi = fill_scaled_gaussian(np.empty((1, n, d)), [RngStream(42, d)], d)[0]
         norms = np.sqrt(np.sum(xi * xi, axis=-1))
         exact = scaled_gaussian_norm_moments(d)
         for p in range(1, 5):
