@@ -281,7 +281,7 @@ def _run_experiment(args, sections: dict, name: str) -> int:
     workers = exp.pop("workers")  # recorded in the sidecar; runs are single-threaded
     require_integer(1, workers=workers)
     cfg = ExperimentConfig(objective=objective, algorithm=algorithm, **exp)
-    _progress(args, f"running {name}: trials={cfg.trials} iterations={cfg.total_iterations}")
+    _progress(args, f"running {name}: trials={cfg.trials} iterations={algorithm.total_iterations}")
     stats = run_monte_carlo(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,7 @@ import numpy as np
 from gndopt.errors import (ParameterError, require_finite, require_integer, require_nonnegative,
                            require_point, require_positive, require_uint64)
 from gndopt.objectives import Objective
-from gndopt.sampling import RngStream, SgOracle
+from gndopt.sampling import RngStream
 from gndopt.solver import (DlGndConfig, GndConfig, _check_gradients, _dlgnd_stages,
                            _run_gnd_batch)
 from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
@@ -57,17 +57,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_integer(1, trials=self.trials)
+        object.__setattr__(self, "trials", int(self.trials))
         require_uint64(seed=self.seed)
         require_nonnegative(sg_noise_r=self.sg_noise_r)
         require_positive(threshold=self.threshold)
         low, high = _init_box(self)
         if np.any(low > high):
             raise ParameterError("init box must satisfy low <= high per coordinate")
-
-    @property
-    def total_iterations(self) -> int:
-        alg = self.algorithm
-        return alg.T if isinstance(alg, GndConfig) else alg.total_iterations
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ class _Fold:
         _add_in_trial_order(self.total, t, d2)
 
 
-def _run_blocks(objective, oracle, algorithm, trials, seed, first_row, observer) -> None:
+def _run_blocks(objective, r, algorithm, trials, seed, first_row, observer) -> None:
     """Run the trials ``_CHUNK`` at a time, trial i on stream ``(seed, i)`` from ``first_row(rng)``.
 
     ``observer`` sees the steps of one block after the other, in trial order.
@@ -150,10 +146,11 @@ def _run_blocks(objective, oracle, algorithm, trials, seed, first_row, observer)
         for row, rng in enumerate(rngs):
             x0[row] = first_row(rng)
         if isinstance(algorithm, GndConfig):
-            _run_gnd_batch(objective, oracle, x0, algorithm, rngs, observer, trial_base=i0)
+            _run_gnd_batch(objective, x0, rngs, observer, eta=algorithm.eta, s=algorithm.s,
+                           f_lb=algorithm.f_lb, r=r, T=algorithm.T, trial_base=i0)
         else:  # the outer-loop trace is not part of the statistics
-            deque(_dlgnd_stages(objective, oracle, x0, algorithm, rngs, observer,
-                                trial_base=i0), maxlen=0)
+            deque(_dlgnd_stages(objective, r, x0, algorithm, rngs, observer, trial_base=i0),
+                  maxlen=0)
         del rngs, x0  # no block's streams outlive it into the next
 
 
@@ -165,8 +162,9 @@ def run_monte_carlo(cfg: ExperimentConfig) -> StatsSeries:
     """
     obj = cfg.objective
     low, high = _init_box(cfg)
-    fold = _Fold(obj.minimizer, cfg.threshold * cfg.threshold, cfg.total_iterations + 1)
-    _run_blocks(obj, SgOracle(obj, cfg.sg_noise_r), cfg.algorithm, cfg.trials, cfg.seed,
+    fold = _Fold(obj.minimizer, cfg.threshold * cfg.threshold,
+                 cfg.algorithm.total_iterations + 1)
+    _run_blocks(obj, cfg.sg_noise_r, cfg.algorithm, cfg.trials, cfg.seed,
                 lambda rng: low + (high - low) * rng.uniforms(obj.dim), fold)
     return StatsSeries(mse=fold.total / cfg.trials, ncp=fold.misses / cfg.trials,
                        trials=cfg.trials)
@@ -227,7 +225,7 @@ def _shadow(objective, r, x0, T, trials, seed, means=None) -> tuple[_ShadowFold,
     cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=objective.min_value, T=T)
     point = require_point(objective.dim, x0=x0)
     fold = _ShadowFold(objective, sched.eta, T + 1, int(trials), means)
-    _run_blocks(objective, SgOracle(objective, r), cfg, int(trials), seed, lambda rng: point, fold)
+    _run_blocks(objective, r, cfg, int(trials), seed, lambda rng: point, fold)
     return fold, sched
 
 
@@ -240,6 +238,8 @@ def contraction_check(objective: Objective, r: float, trials: int, x0, T: int,
     standard errors of the ensemble mean, at every t.
     """
     require_positive(slack=slack)
+    require_integer(0, T=T)
+    T = int(T)
     fold, sched = _shadow(objective, r, x0, T, trials, seed)
     means = fold.sums() / trials
     se = np.zeros_like(means)

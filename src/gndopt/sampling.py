@@ -71,6 +71,7 @@ class SgOracle:
     The solver draws ``grad f(x) + r * xi`` with ``xi ~ N(0, I_d/d)``, so the
     mean is the exact gradient and the mean squared deviation is exactly
     ``r**2``.  With ``r = 0`` it uses the exact gradient and consumes no draws.
+    Runners evaluate their own ``objective`` argument and read only ``r`` here.
     """
 
     objective: Objective

@@ -22,7 +22,7 @@ observer, which records the run (``gnd_run``) or keeps each row's best point
 ``gndopt.experiments``.  The double loop has one batched implementation,
 ``_dlgnd_stages``, with a lower bound per row; ``dlgnd_run`` is its one-row
 case.  Its iterations are numbered across the whole run: outer loop nu >= 1
-starts at T1 + (nu-1)*T2.
+is the kernel call whose first iteration is t0 = T1 + (nu-1)*T2.
 """
 
 from __future__ import annotations
@@ -60,6 +60,11 @@ class GndConfig:
         require_nonnegative(s=self.s)
         require_finite(f_lb=self.f_lb)
         require_integer(0, T=self.T)
+        object.__setattr__(self, "T", int(self.T))
+
+    @property
+    def total_iterations(self) -> int:
+        return self.T
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,8 @@ class DlGndConfig:
         require_finite(f_lb0=self.f_lb0)
         require_unit_interval(gamma=self.gamma)
         require_integer(1, N=self.N, T1=self.T1, T2=self.T2)
+        for name in ("N", "T1", "T2"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def total_iterations(self) -> int:
@@ -158,36 +165,34 @@ class _Recorder:
             self.half_values[:, t - 1], self.sigmas[:, t - 1] = vh, sig
 
 
-def _run_gnd_batch(objective, oracle, x0, cfg, rngs, observer, *, f_lb=None,
+def _run_gnd_batch(objective, x0, rngs, observer, *, eta, s, f_lb, r, T, t0=0,
                    trial_base=None) -> None:
-    """Run cfg.T GND iterations on a batch of trajectories, one rng stream per row.
+    """Run GND iterations t0 .. t0+T-1 on a batch of trajectories, one rng stream per row.
 
-    ``f_lb`` may be a scalar or a per-row vector (used by the double-loop
-    ensemble); it defaults to ``cfg.f_lb``.  The kernel keeps and returns nothing
-    of the run: it calls ``observer.step(t, x_t, f(x_t), f(x_{t-1/2}),
-    sigma_{t-1})`` at t = 0 (with None for the last two) and after each step,
-    once the step's values are guarded.  The arrays it passes are not written
-    to afterwards.  Raises DivergedError as soon as any row produces a
-    non-finite value/gradient or exceeds GUARD_LIMIT.
+    ``f_lb`` is a scalar or a per-row vector; ``r`` is the SG oracle's noise level.
+    The kernel keeps nothing of the run: it calls ``observer.step(t, x_t, f(x_t),
+    f(x_{t-1/2}), sigma_{t-1})`` first at t = t0 (with None for the last two) and
+    after each step, once the step's values are guarded.  The arrays it passes
+    are not written to afterwards.  Raises DivergedError, naming iteration t, as
+    soon as any row produces a non-finite value/gradient or exceeds GUARD_LIMIT.
     """
     x = np.array(x0, dtype=np.float64)
     m, d = x.shape
     if len(rngs) != m:
         raise ParameterError(f"need one rng stream per row: {len(rngs)} streams, {m} rows")
-    T = int(cfg.T)
-    eta = float(cfg.eta)
-    s = float(cfg.s)
+    T = int(T)
+    eta = float(eta)
+    s = float(s)
     eta_s = eta * s
-    f_lb = cfg.f_lb if f_lb is None else f_lb
-    r = float(oracle.r)
+    r = float(r)
     draw_omega = r > 0.0
     draw_xi = s > 0.0
     cols = d * (int(draw_omega) + int(draw_xi))
     xi_cols = slice(d if draw_omega else 0, None)
 
     v = objective.value(x)
-    _check_values(v, 0, trial_base)
-    observer.step(0, x, v, None, None)
+    _check_values(v, t0, trial_base)
+    observer.step(t0, x, v, None, None)
 
     # Noise for up to `most` iterations, already divided by sqrt(d): one buffer
     # per call of at most _NOISE_BYTES (or of one iteration, if that is more),
@@ -195,9 +200,9 @@ def _run_gnd_batch(objective, oracle, x0, cfg, rngs, observer, *, f_lb=None,
     most = max(1, min(T, _NOISE_BYTES // (8 * m * cols))) if cols else 0
     block = np.empty((m, most, cols)) if cols else None
     span = bpos = 0
-    for t in range(T):
+    for t in range(t0, t0 + T):
         if cols and bpos == span:
-            span = min(most, T - t)
+            span = min(most, t0 + T - t)
             fill_scaled_gaussian(block[:, :span], rngs, d)
             bpos = 0
         g = objective.gradient(x)
@@ -223,7 +228,8 @@ def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig,
     """Run GND for cfg.T iterations from x0, recording the full trajectory."""
     x0 = require_point(objective.dim, x0=x0)
     rec = _Recorder(1, cfg.T, x0.size)
-    _run_gnd_batch(objective, oracle, x0[None, :], cfg, [rng], rec)
+    _run_gnd_batch(objective, x0[None, :], [rng], rec, eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb,
+                   r=oracle.r, T=cfg.T)
     # argmin returns the first minimizing index
     return Trajectory(points=rec.points[0], values=rec.values[0], sigmas=rec.sigmas[0],
                       half_values=rec.half_values[0], t_star=int(np.argmin(rec.values[0])))
@@ -244,7 +250,7 @@ def dlgnd_run(objective: Objective, oracle: SgOracle, x0, cfg: DlGndConfig,
     is the one-row case of :func:`_dlgnd_stages`.
     """
     x0 = require_point(objective.dim, x0=x0)
-    lb, mins, vals = zip(*_dlgnd_stages(objective, oracle, x0[None, :], cfg, [rng]))
+    lb, mins, vals = zip(*_dlgnd_stages(objective, oracle.r, x0[None, :], cfg, [rng]))
     return DlGndTrace(lb_history=np.concatenate(lb), min_points=np.concatenate(mins),
                       min_values=np.concatenate(vals))
 
@@ -252,50 +258,42 @@ def dlgnd_run(objective: Objective, oracle: SgOracle, x0, cfg: DlGndConfig,
 class _StageBest:
     """Each row's first minimizer of f(x_t) over one stage, forwarding each step to an observer.
 
-    A strict ``<`` keeps the first minimizing index, as ``np.argmin`` does on the
-    finite values the guard lets through.  The observer sees x_t as iteration
-    ``offset + t``; x_0 only in the first stage, since a restart takes no iteration.
+    A strict ``<`` keeps the first minimizer, as ``np.argmin`` does on guarded values.  The
+    stage's x_0 comes at its first iteration t0 (``vh`` None); a restart's is not observed.
     """
 
-    def __init__(self, observer, offset):
-        self.observer, self.offset = observer, offset
+    def __init__(self, observer):
+        self.observer = observer
 
     def step(self, t, x, v, vh, sig):
-        if not t:
+        if vh is None:
             self.x, self.v = x.copy(), v.copy()
         else:
             better = v < self.v
             if better.any():
                 np.copyto(self.v, v, where=better)
                 np.copyto(self.x, x, where=better[:, None])
-        if self.observer is not None and (t or not self.offset):
-            self.observer.step(self.offset + t, x, v, vh, sig)
+        if self.observer is not None and (vh is not None or not t):
+            self.observer.step(t, x, v, vh, sig)
 
 
-def _dlgnd_stages(objective, oracle, x0, cfg, rngs, observer=None, trial_base=None):
+def _dlgnd_stages(objective, r, x0, cfg, rngs, observer=None, trial_base=None):
     """Run the double-loop scheme on a batch of trajectories, one rng stream per row.
 
     Yields each row's ``(f_lb, x_min, f(x_min))`` after stage one and after
-    each outer loop; each row keeps its own lower bound f_lb.  An ``observer``
-    receives the iterate after t gradient steps of the whole run as iteration
-    t; outer-loop restarts jump to the running best point without consuming an
-    iteration and are not observed.  A DivergedError names the run's iteration.
+    each outer loop; each row keeps its own lower bound f_lb.  A stage is one kernel
+    call from the running best point at its first iteration t0 of the whole run,
+    as an ``observer`` and a DivergedError see it; a restart's x_0 is not observed.
     """
-    first = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T1)
-    inner = GndConfig(eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb0, T=cfg.T2)
     f_lb = np.full(x0.shape[0], float(cfg.f_lb0))
-    x_min, offset = x0, 0
+    x_min, t0 = x0, 0
     for nu in range(cfg.N + 1):
         if nu:
             f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
-        stage = inner if nu else first
-        best = _StageBest(observer, offset)
-        try:
-            _run_gnd_batch(objective, oracle, x_min, stage, rngs, best, f_lb=f_lb,
-                           trial_base=trial_base)
-        except DivergedError as err:
-            raise DivergedError(err.iteration + offset, err.trial, err.quantity) from None
+        T = cfg.T2 if nu else cfg.T1
+        best = _StageBest(observer)
+        _run_gnd_batch(objective, x_min, rngs, best, eta=cfg.eta, s=cfg.s, f_lb=f_lb, r=r,
+                       T=T, t0=t0, trial_base=trial_base)
         x_min, v_min = best.x, best.v
         yield f_lb, x_min, v_min
-        offset += stage.T
-
+        t0 += T

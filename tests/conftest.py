@@ -110,5 +110,5 @@ def stacked_dlgnd(objective, oracle, x0s, cfg, rngs, observer=None):
     Returns ``(lb_history, min_points, min_values)`` of shapes (m, N+1),
     (m, N+1, d) and (m, N+1): row i is trajectory i's trace.
     """
-    stages = _dlgnd_stages(objective, oracle, x0s, cfg, rngs, observer)
+    stages = _dlgnd_stages(objective, oracle.r, x0s, cfg, rngs, observer)
     return tuple(np.stack(arrays, axis=1) for arrays in zip(*stages))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -9,7 +10,7 @@ from gndopt import (DlGndConfig, ExperimentConfig, GndConfig, ParameterError, Rn
                     SgOracle, barrier_check, check_eta_constraint, contraction_check, dlgnd_run,
                     estimate_beta_quadratic, gnd_iteration_bound, gnd_run, gnd_schedule,
                     j1_stationary_points, make_objective, make_quadratic, nearly_convex_gate,
-                    regularity_constants_grid, stopping_time_check)
+                    regularity_constants_grid, run_monte_carlo, stopping_time_check)
 from gndopt.errors import (require_finite, require_integer, require_nonnegative, require_point,
                            require_positive, require_uint64, require_unit_interval)
 
@@ -176,3 +177,27 @@ def test_library_probe_is_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()
     assert str(err.value) == message
+
+
+def _dlgnd(n):
+    return DlGndConfig(eta=0.4, s=0.5, f_lb0=-1.0, gamma=0.5, N=n, T1=n, T2=n)
+
+
+_Q = make_quadratic(1.0, 1)
+
+
+# require_integer passes integral floats; each count so given runs as its int.
+@pytest.mark.parametrize("run", [
+    lambda n: gnd_run(_Q, SgOracle(_Q, 0.3), [1.0], GndConfig(0.4, 0.5, 0.0, n), RngStream(0, 0)),
+    lambda n: run_monte_carlo(_experiment(algorithm=GndConfig(0.4, 0.5, 0.0, n))),
+    lambda n: dlgnd_run(_Q, SgOracle(_Q, 0.3), [1.0], _dlgnd(n), RngStream(0, 0)),
+    lambda n: run_monte_carlo(_experiment(algorithm=_dlgnd(n))),
+    lambda n: run_monte_carlo(_experiment(trials=n)),
+    lambda n: contraction_check(_Q, r=1.0, trials=4, x0=[5.0], T=n, seed=0),
+], ids=["gnd_run-T", "run_monte_carlo-T", "dlgnd_run-N-T1-T2", "run_monte_carlo-N-T1-T2",
+        "ExperimentConfig-trials", "contraction_check-T"])
+def test_integral_float_count_runs_as_its_int(run):
+    got, want = dataclasses.astuple(run(5.0)), dataclasses.astuple(run(5))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)

@@ -297,10 +297,10 @@ class TestContractionCheck:
         x0 = [5.0, -2.0]
         rep = contraction_check(q, r=r, trials=trials, x0=x0, T=T, seed=seed, slack=slack)
         sched = rep.schedule
-        cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=q.min_value, T=T)
         res = solver._Recorder(trials, T, 2)
-        solver._run_gnd_batch(q, SgOracle(q, r), np.tile(x0, (trials, 1)), cfg,
-                              [RngStream(seed, i) for i in range(trials)], res)
+        rngs = [RngStream(seed, i) for i in range(trials)]
+        solver._run_gnd_batch(q, np.tile(x0, (trials, 1)), rngs, res, eta=sched.eta, s=sched.s,
+                              f_lb=q.min_value, r=r, T=T)
         diff = res.points - sched.eta * q.gradient(res.points) - q.minimizer
         d2 = np.sum(diff * diff, axis=-1)  # (trials, T+1)
         means = d2.mean(axis=0)

@@ -10,13 +10,19 @@ from conftest import sequential_dlgnd, stacked_dlgnd
 from hypothesis import strategies as st
 
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
-                    ParameterError, RngStream, SgOracle, dlgnd_run, gd_run, gnd_run,
-                    j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
+                    ParameterError, RngStream, SgOracle, dlgnd_run, experiments, gd_run,
+                    gnd_run, j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
                     run_monte_carlo, solver, stopping_time_check)
 from gndopt.experiments import _Fold
 from gndopt.solver import GUARD_LIMIT, _dlgnd_stages, _Recorder, _run_gnd_batch
 
 DATA = Path(__file__).parent / "data"
+
+
+def _gnd_batch(objective, r, x0s, cfg, rngs, observer, trial_base=None):
+    """The kernel on the step size, noise scale, lower bound and iterations of ``cfg``."""
+    _run_gnd_batch(objective, x0s, rngs, observer, eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb, r=r,
+                   T=cfg.T, trial_base=trial_base)
 
 
 class TestSigma:
@@ -178,7 +184,7 @@ class TestEnsembleKernel:
         x0s = np.array([[8.0], [-4.0], [2.5], [0.1]])
         rngs = [RngStream(21, i) for i in range(4)]
         res = _Recorder(4, cfg.T, 1)
-        _run_gnd_batch(j1, oracle, x0s, cfg, rngs, res)
+        _gnd_batch(j1, oracle.r, x0s, cfg, rngs, res)
         for i in range(4):
             single = gnd_run(j1, oracle, x0s[i], cfg, RngStream(21, i))
             assert np.array_equal(res.points[i], single.points)
@@ -192,9 +198,58 @@ class TestEnsembleKernel:
         cfg = GndConfig(eta=3.0, s=0.0, f_lb=0.0, T=300)
         x0s = np.array([[1e-9], [10.0]])  # second row blows up first
         with pytest.raises(DivergedError) as err:
-            _run_gnd_batch(q, SgOracle(q, 0.0), x0s, cfg, [RngStream(0, 0), RngStream(0, 1)],
-                           _Fold(q.minimizer, 1.0, cfg.T + 1), trial_base=40)
+            _gnd_batch(q, 0.0, x0s, cfg, [RngStream(0, 0), RngStream(0, 1)],
+                       _Fold(q.minimizer, 1.0, cfg.T + 1), trial_base=40)
         assert err.value.trial == 41
+
+
+class TestWorkPerRow:
+    """Objective rows and draws of a run, as the benchmark derives them (``Work.derived_counts``).
+
+    Per trajectory: one stream and its d init uniforms; per stage of T
+    iterations, 2T+1 value rows (f(x_0), then f(x_{t+1/2}) and f(x_{t+1})), T
+    gradient rows and T*cols normals: d columns for the gradient noise when
+    r > 0 and d for the injected noise when s > 0.
+    """
+
+    GND = GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=7)
+    DLGND = DlGndConfig(eta=0.1, s=0.5, f_lb0=-1.0, gamma=0.5, N=3, T1=4, T2=2)
+
+    @pytest.mark.parametrize("algorithm, r, trials", [(GND, 0.3, 6), (DLGND, 0.0, 6),
+                                                      (DLGND, 0.0, None)],
+                             ids=["gnd-ensemble", "dlgnd-ensemble", "dlgnd_run"])
+    def test_counts_equal_derived_counts(self, monkeypatch, algorithm, r, trials):
+        counts = dict.fromkeys(["value", "gradient", "normals", "uniforms", "streams"], 0)
+
+        def counting(name, fn, amount):
+            def counted(*args, **kwargs):
+                counts[name] += amount(*args)
+                return fn(*args, **kwargs)
+            return counted
+
+        rows = lambda x: len(x) if np.ndim(x) == 2 else 1
+        draws = lambda rng, shape: int(np.prod(shape))
+        rast = make_rastrigin(1.0, 1.0, 0.05, 3)
+        obj = dataclasses.replace(rast, value=counting("value", rast.value, rows),
+                                  gradient=counting("gradient", rast.gradient, rows))
+        monkeypatch.setattr(RngStream, "normals", counting("normals", RngStream.normals, draws))
+        monkeypatch.setattr(RngStream, "uniforms",
+                            counting("uniforms", RngStream.uniforms, draws))
+        monkeypatch.setattr(RngStream, "__init__",
+                            counting("streams", RngStream.__init__, lambda *_: 1))
+        monkeypatch.setattr(experiments, "_CHUNK", 4)  # two row blocks
+        if trials is None:  # as the benchmark's dlgnd-single workload draws its start
+            rng = RngStream(3, 0)
+            dlgnd_run(obj, SgOracle(obj, r), -2.0 + 4.0 * rng.uniforms(obj.dim), algorithm, rng)
+        else:
+            run_monte_carlo(ExperimentConfig(obj, algorithm, r, trials, -2.0, 2.0, seed=3))
+        m, d = trials or 1, obj.dim
+        stages = ((algorithm.T,) if isinstance(algorithm, GndConfig)
+                  else (algorithm.T1,) + (algorithm.T2,) * algorithm.N)
+        cols = d * ((r > 0) + (algorithm.s > 0))
+        assert counts == {"value": m * sum(2 * T + 1 for T in stages),
+                          "gradient": m * sum(stages), "normals": m * sum(stages) * cols,
+                          "uniforms": m * d, "streams": m}
 
 
 def _poisoned(objective, kind, call, bad):
@@ -234,7 +289,7 @@ class TestDivergenceGuard:
         rngs = [RngStream(0, i) for i in range(5)]
         fold = _Fold(q.minimizer, 1e-6, cfg.T + 1)
         with pytest.raises(DivergedError) as err:
-            _run_gnd_batch(q, SgOracle(q, 0.3), x0s, cfg, rngs, fold, trial_base=40)
+            _gnd_batch(q, 0.3, x0s, cfg, rngs, fold, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
         assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
 
@@ -299,9 +354,8 @@ class TestNoiseBlockInvariance:
 
         monkeypatch.setattr(solver, "_NOISE_BYTES", budget)
         monkeypatch.setattr(RngStream, "normals", counted)
-        _run_gnd_batch(q, SgOracle(q, 0.5), np.ones((4, 1)),
-                       GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10),
-                       [RngStream(1, i) for i in range(4)], _Fold(q.minimizer, 1.0, 11))
+        _run_gnd_batch(q, np.ones((4, 1)), [RngStream(1, i) for i in range(4)],
+                       _Fold(q.minimizer, 1.0, 11), eta=0.1, s=0.5, f_lb=0.0, r=0.5, T=10)
         assert calls == [(span, 2) for span in spans for _ in range(4)]
 
     def test_noise_buffer_stays_within_budget(self):
@@ -315,7 +369,7 @@ class TestNoiseBlockInvariance:
             fold = _Fold(rast.minimizer, 1.0, cfg.T + 1)
             tracemalloc.start()
             try:
-                _run_gnd_batch(rast, SgOracle(rast, r), x0, cfg, rngs, fold)
+                _gnd_batch(rast, r, x0, cfg, rngs, fold)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -335,8 +389,8 @@ class TestNoiseBlockInvariance:
 
         def folded(rows, *others):
             fold = _Fold(rast.minimizer, thr2, cfg.T + 1)
-            _run_gnd_batch(rast, oracle, x0s[rows], cfg, [RngStream(4, i) for i in rows],
-                           _Both(fold, *others))
+            _gnd_batch(rast, oracle.r, x0s[rows], cfg, [RngStream(4, i) for i in rows],
+                       _Both(fold, *others))
             return fold
 
         full = _Recorder(5, cfg.T, 10)
@@ -507,7 +561,7 @@ class TestDlGndBatch:
         rngs = [RngStream(0, i) for i in range(5)]
         fold = _Fold(q.minimizer, 1e-6, cfg.total_iterations + 1)
         with pytest.raises(DivergedError) as err:
-            list(_dlgnd_stages(q, SgOracle(q, 0.3), np.full((5, 2), 2.0), cfg, rngs, fold,
+            list(_dlgnd_stages(q, 0.3, np.full((5, 2), 2.0), cfg, rngs, fold,
                                trial_base=40))
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, call, "gradient")
 
