@@ -20,7 +20,8 @@ from gndopt.errors import (DivergedError, ParameterError, require_finite, requir
 from gndopt.experiments import (ExperimentConfig, run_monte_carlo, stopping_time_check,
                                 write_csv, write_svg)
 from gndopt.objectives import _FACTORIES, make_objective, make_quadratic
-from gndopt.sampling import RngStream, fill_scaled_gaussian, scaled_gaussian_norm_moments
+from gndopt.sampling import (RngStream, draw_ahead_span, fill_scaled_gaussian,
+                             scaled_gaussian_norm_moments)
 from gndopt.solver import DlGndConfig, GndConfig
 from gndopt.theory import (ball_shell_grid, dlgnd_schedule, gnd_schedule,
                            j2_condition_table, regularity_constants_grid,
@@ -163,12 +164,12 @@ def _cmd_moments(args) -> int:
     require_uint64(seed=args.seed)
     exact = scaled_gaussian_norm_moments(args.d)
     rng = RngStream(args.seed, 0)
-    chunk = max(1, min(args.draws, 10_000_000 // max(args.d, 1)))
+    chunk = draw_ahead_span(1, args.d, args.draws)
     block = np.empty((1, chunk, args.d))
     sums = np.zeros(4)
     for done in range(0, args.draws, chunk):
         xi = fill_scaled_gaussian(block[:, :min(chunk, args.draws - done)], [rng], args.d)[0]
-        norms = np.sqrt(np.sum(xi * xi, axis=-1))
+        norms = np.sqrt(np.sum(np.square(xi, out=xi), axis=-1))  # no second chunk-sized array
         for p in range(4):
             sums[p] += float(np.sum(norms ** (p + 1)))
     mc = sums / args.draws

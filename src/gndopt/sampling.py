@@ -22,10 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gndopt.errors import require_integer, require_nonnegative, require_uint64
+from gndopt.errors import ParameterError, require_integer, require_nonnegative, require_uint64
 from gndopt.objectives import Objective
 
 Array = np.ndarray
+
+# Bytes of noise drawn ahead per refill, across all rows of a block: the L2
+# cache of one core on the machine the benchmark records.  4 MiB took more
+# memory for no speed; 1 MiB doubled the refills and ran slower.
+_DRAW_AHEAD_BYTES = 2 * 2**20
 
 
 class RngStream:
@@ -50,14 +55,27 @@ class RngStream:
         return f"RngStream(master_seed={self.origin[0]}, stream_index={self.origin[1]})"
 
 
+def draw_ahead_span(rows: int, cols: int, steps: int) -> int:
+    """Steps of a (rows, steps, cols) float64 draw to take per refill.
+
+    As many as fit in the draw-ahead budget, at least one and at most
+    ``steps``.  Any span gives the same streams: only the number of
+    :meth:`RngStream.normals` calls depends on it.
+    """
+    return max(1, min(steps, _DRAW_AHEAD_BYTES // (8 * rows * cols)))
+
+
 def fill_scaled_gaussian(out: Array, rngs, d: int) -> Array:
     """Fill a (rows, span, cols) block with N(0, I_d / d) draws, in place, and return it.
 
     Row i takes its span x cols standard normals from ``rngs[i]`` in draw order,
     then the block is divided by sqrt(d).  The solver's blocks have d columns
     per iteration for each noise it draws (gradient noise, injected noise).
+    Raises ParameterError unless there is one stream per row.
     """
     require_integer(1, d=d)
+    if len(rngs) != len(out):
+        raise ParameterError(f"need one rng stream per row: {len(rngs)} streams, {len(out)} rows")
     for row, rng in enumerate(rngs):
         rng.normals(out.shape[1:], out=out[row])
     out /= math.sqrt(d)

@@ -35,15 +35,11 @@ from gndopt.errors import (DivergedError, ParameterError, require_finite, requir
                            require_nonnegative, require_point, require_positive,
                            require_unit_interval)
 from gndopt.objectives import Objective
-from gndopt.sampling import RngStream, SgOracle, fill_scaled_gaussian
+from gndopt.sampling import RngStream, SgOracle, draw_ahead_span, fill_scaled_gaussian
 
 Array = np.ndarray
 
 GUARD_LIMIT = 1e12
-# Bytes of noise pregenerated per refill, across all rows of a kernel call.  The
-# span in iterations follows from the batch size and the draws per iteration;
-# any span yields the same streams.
-_NOISE_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -195,9 +191,9 @@ def _run_gnd_batch(objective, x0, rngs, observer, *, eta, s, f_lb, r, T, t0=0,
     observer.step(t0, x, v, None, None)
 
     # Noise for up to `most` iterations, already divided by sqrt(d): one buffer
-    # per call of at most _NOISE_BYTES (or of one iteration, if that is more),
-    # refilled in place, stream by stream in draw order.
-    most = max(1, min(T, _NOISE_BYTES // (8 * m * cols))) if cols else 0
+    # per call within the draw-ahead budget, refilled in place, stream by
+    # stream in draw order.
+    most = draw_ahead_span(m, cols, T) if cols else 0
     block = np.empty((m, most, cols)) if cols else None
     span = bpos = 0
     for t in range(t0, t0 + T):

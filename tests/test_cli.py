@@ -4,6 +4,7 @@ import io
 import re
 import string
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gndopt import sampling
 from gndopt.cli import _SCHEMA, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -184,6 +186,22 @@ class TestMoments:
         pairs = dict(line.split("=") for line in out.strip().splitlines())
         assert float(pairs["m2_exact"]) == 1.0
         assert abs(float(pairs["m2_mc"]) - 1.0) <= 0.05
+
+    def test_memory_stays_within_draw_ahead_budget(self, capsys):
+        # 300000 draws of d = 10 are 24 MB of noise.  The chunks are the
+        # draw-ahead budget's, squared in place: the peak is one chunk and its
+        # (chunk,) norms.
+        def peak(draws):
+            tracemalloc.start()
+            try:
+                assert main(["moments", "--d", "10", "--draws", draws, "--seed", "42"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("10")  # first-call allocations are not part of the run below
+        assert peak("300000") <= 1.5 * sampling._DRAW_AHEAD_BYTES
+        capsys.readouterr()
 
     @pytest.mark.parametrize("draws", ["0", "-5"])
     def test_draws_below_one_is_exit_1(self, capsys, draws):

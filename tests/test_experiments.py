@@ -8,7 +8,7 @@ from conftest import sequential_dlgnd
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, StatsSeries,
                     contraction_check, experiments, gnd_run, make_j1,
-                    make_quadratic, make_rastrigin, run_monte_carlo, solver,
+                    make_quadratic, make_rastrigin, run_monte_carlo, sampling, solver,
                     stopping_time_check, write_csv, write_svg)
 
 
@@ -203,7 +203,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("algo", ["gnd", "dlgnd", "dlgnd-T1"])
     def test_peak_does_not_grow_with_iterations(self, algo):
-        assert 8 * experiments._CHUNK * 20 * 100 >= solver._NOISE_BYTES
+        assert 8 * experiments._CHUNK * 20 * 100 >= sampling._DRAW_AHEAD_BYTES
         short, long = self.LONGER[algo]
         self._peak(20)  # first-call allocations are not part of any run below
         base = self._peak(experiments._CHUNK, short, r=0.3)
@@ -233,7 +233,7 @@ class TestMemory:
         # 60 iterations of a 512-row block fill the noise buffer to its cap;
         # eight blocks add only the per-trial start and minimum (16 B a trial).
         rows = experiments._CHUNK
-        assert 8 * rows * 20 * 60 >= solver._NOISE_BYTES
+        assert 8 * rows * 20 * 60 >= sampling._DRAW_AHEAD_BYTES
 
         def peak(trials):
             tracemalloc.start()
@@ -248,7 +248,7 @@ class TestMemory:
         assert peak(8 * rows) <= peak(rows) * 1.05
 
     def test_stopping_time_peak_does_not_grow_with_iterations(self):
-        assert 8 * 256 * 20 * 120 >= solver._NOISE_BYTES
+        assert 8 * 256 * 20 * 120 >= sampling._DRAW_AHEAD_BYTES
         self._shadow_peak("stopping_time", 5)  # first-call allocations
         base = self._shadow_peak("stopping_time", 120)
         assert self._shadow_peak("stopping_time", 1200) <= base * 1.02

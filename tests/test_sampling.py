@@ -62,6 +62,13 @@ class TestScaledGaussian:
         with pytest.raises(ParameterError):
             fill_scaled_gaussian(np.empty((1, 1, 1)), [RngStream(0, 0)], 0)
 
+    @pytest.mark.parametrize("rows,streams", [(3, 1), (1, 3)])
+    def test_one_stream_per_row(self, rows, streams):
+        out = np.full((rows, 2, 1), 7.0)
+        with pytest.raises(ParameterError, match=f"{streams} streams, {rows} rows"):
+            fill_scaled_gaussian(out, [RngStream(0, i) for i in range(streams)], 2)
+        assert np.all(out == 7.0)  # nothing drawn or scaled
+
     def test_solver_draws_this_law(self):
         # GD's step noise is r*xi from the kernel's block: with eta = r = 1 at
         # x = x* of the quadratic, x_1 = -xi exactly.

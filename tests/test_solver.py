@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     ParameterError, RngStream, SgOracle, dlgnd_run, experiments, gd_run,
                     gnd_run, j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
-                    run_monte_carlo, solver, stopping_time_check)
+                    run_monte_carlo, sampling, solver, stopping_time_check)
+from gndopt.cli import main
 from gndopt.experiments import _Fold
 from gndopt.solver import GUARD_LIMIT, _dlgnd_stages, _Recorder, _run_gnd_batch
 
@@ -315,13 +316,13 @@ class TestNoiseBlockInvariance:
     COLS = 20  # r > 0 and s > 0 at d = 10: both noise column groups drawn
 
     def _runs(self, monkeypatch, span):
-        """One trajectory and one ensemble, each with _NOISE_BYTES sized to ``span`` iterations."""
+        """One trajectory and one ensemble, each drawing ``span`` iterations ahead."""
         rast = make_rastrigin(1.0, 1.0, 0.05, 10)
         oracle = SgOracle(rast, 0.3)
         cfg = GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=self.T)
-        monkeypatch.setattr(solver, "_NOISE_BYTES", 8 * self.COLS * span)
+        monkeypatch.setattr(sampling, "_DRAW_AHEAD_BYTES", 8 * self.COLS * span)
         traj = gnd_run(rast, oracle, np.linspace(-4.0, 4.0, 10), cfg, RngStream(6, 2))
-        monkeypatch.setattr(solver, "_NOISE_BYTES", 8 * self.TRIALS * self.COLS * span)
+        monkeypatch.setattr(sampling, "_DRAW_AHEAD_BYTES", 8 * self.TRIALS * self.COLS * span)
         stats = run_monte_carlo(ExperimentConfig(
             objective=rast, algorithm=cfg, sg_noise_r=0.3, trials=self.TRIALS,
             init_low=-5.0, init_high=5.0, seed=9))
@@ -352,11 +353,16 @@ class TestNoiseBlockInvariance:
             calls.append(shape)
             return real(rng, shape, out=out)
 
-        monkeypatch.setattr(solver, "_NOISE_BYTES", budget)
+        monkeypatch.setattr(sampling, "_DRAW_AHEAD_BYTES", budget)
         monkeypatch.setattr(RngStream, "normals", counted)
         _run_gnd_batch(q, np.ones((4, 1)), [RngStream(1, i) for i in range(4)],
                        _Fold(q.minimizer, 1.0, 11), eta=0.1, s=0.5, f_lb=0.0, r=0.5, T=10)
         assert calls == [(span, 2) for span in spans for _ in range(4)]
+        # `gndopt moments` draws one row of d columns per draw: at d = 8 the
+        # same budget gives the same spans as 4 rows x 2 columns.
+        calls.clear()
+        assert main(["moments", "--d", "8", "--draws", "10", "--seed", "3"]) == 0
+        assert calls == [(span, 8) for span in spans]
 
     def test_noise_buffer_stays_within_budget(self):
         # m = 256 rows x 20 columns x 300 iterations would be 12.3 MB in one block.
@@ -378,7 +384,7 @@ class TestNoiseBlockInvariance:
         # step's (256, 10) temporaries (each refill draws into the buffer).
         noise = peak(0.3, 2.0) - peak(0.0, 0.0)
         one_iteration = 8 * 256 * 20
-        assert 0 < noise <= solver._NOISE_BYTES + 2 * one_iteration
+        assert 0 < noise <= sampling._DRAW_AHEAD_BYTES + 2 * one_iteration
 
     def test_distances_do_not_depend_on_recorded_arrays(self):
         rast = make_rastrigin(1.0, 1.0, 0.05, 10)
