@@ -17,8 +17,8 @@ import numpy as np
 
 from gndopt.errors import (DivergedError, ParameterError, require_finite, require_integer,
                            require_uint64)
-from gndopt.experiments import (ExperimentConfig, run_monte_carlo, stopping_time_check,
-                                write_csv, write_svg)
+from gndopt.experiments import (ExperimentConfig, _add_in_trial_order, run_monte_carlo,
+                                stopping_time_check, write_csv, write_svg)
 from gndopt.objectives import _FACTORIES, make_objective, make_quadratic
 from gndopt.sampling import (RngStream, draw_ahead_span, fill_scaled_gaussian,
                              scaled_gaussian_norm_moments)
@@ -170,8 +170,8 @@ def _cmd_moments(args) -> int:
     for done in range(0, args.draws, chunk):
         xi = fill_scaled_gaussian(block[:, :min(chunk, args.draws - done)], [rng], args.d)[0]
         norms = np.sqrt(np.sum(np.square(xi, out=xi), axis=-1))  # no second chunk-sized array
-        for p in range(4):
-            sums[p] += float(np.sum(norms ** (p + 1)))
+        for p in range(4):  # one draw at a time, so the bytes do not depend on the chunk
+            _add_in_trial_order(sums, p, norms ** (p + 1))
     mc = sums / args.draws
     pairs = []
     for p in range(4):

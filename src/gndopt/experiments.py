@@ -33,12 +33,11 @@ from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
 Array = np.ndarray
 
 # Trials per kernel call: bounds the kernel's per-row working set (streams,
-# iterates, objective temporaries, one step's distances).  The noise buffer is
-# bounded by bytes in the solver.  512 rows spread the kernel's fixed numpy
-# calls per step over twice the rows of 256, while j1(112)'s (512, 112)
-# temporaries (0.46 MB each) still fit a 2 MiB L2.  Far larger blocks lose
-# that: the whole 2000-trial j1 ensemble as one block was slower
-# (BENCH_5.json, `one_batch`).
+# iterates, one step's distances).  The noise buffer is bounded by bytes in
+# the sampler and j1's sine tables by bytes in its value's row tiles.  512
+# rows spread the kernel's fixed numpy calls per step over twice the rows of
+# 256.  The whole 2000-trial j1 ensemble as one block was slower
+# (BENCH_5.json, `one_batch`, measured before j1's value was tiled).
 _CHUNK = 512
 
 

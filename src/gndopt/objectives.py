@@ -126,6 +126,13 @@ def compute_nk(k: int) -> int:
             return n
 
 
+# Bytes of each of j1's two (tile, n) sine tables in one value tile.  At 256 KiB
+# both fit one core's 2 MiB L2, `gndopt check` on j1(112, 2) peaks at 36 MB
+# (208 MB untiled), and j1-7-1's 512-row blocks stay one tile.  128 KiB tiles
+# cut 1.0 MB of j1-gnd's peak RSS but made it slower in 5 of 6 paired runs.
+_J1_TILE_BYTES = 256 * 2**10
+
+
 def make_j1(n: int, k: int) -> Objective:
     """One-dimensional oscillating objective x^2/2 - (1 + 1/k) * int_0^x t sin(t)^{2n} dt.
 
@@ -141,7 +148,11 @@ def make_j1(n: int, k: int) -> Objective:
     leave absolute 1e-16 noise on the x^2-relative scale).  This keeps solver
     loops quadrature-free and is stable for n in the hundreds.  One table of
     sin(jx), j = 1..n, also holds sin(2jx) for j <= n/2 (at 2j), so a value
-    costs 1.5n sines and no third (..., n) buffer.  The gradient is exact:
+    costs 1.5n sines and no third (rows, n) buffer.  ``value`` walks the
+    flattened batch in tiles of ``_J1_TILE_BYTES // (8n)`` rows, so its two
+    tables take at most 256 KiB each whatever the batch size; every row goes
+    through the same operations as in one whole-batch pass, so the values are
+    bitwise those of an untiled evaluation.  The gradient is exact:
     x * (1 - (1 + 1/k) * sin(x)^{2n}).
 
     Stationary points sit at ``j*pi +/- arcsin((k/(k+1))^(1/2n))`` besides the
@@ -159,9 +170,10 @@ def make_j1(n: int, k: int) -> Objective:
     scale = 1.0 + 1.0 / k
     two_n = 2 * n
     h = n // 2
+    tile = max(1, _J1_TILE_BYTES // (8 * n))
 
     def integral(xs):
-        # Two (..., n) buffers reused in place.  For j <= h, sin(2jx) is read
+        # Two (tile, n) buffers reused in place.  For j <= h, sin(2jx) is read
         # from the first table at 2j: fl(x*2j) = 2*fl(x*j), doubling being
         # exact, so only the upper n - h angles are doubled and passed through
         # sin.  The products and sums are the same operations in the same order
@@ -181,7 +193,12 @@ def make_j1(n: int, k: int) -> Objective:
 
     def value(x):
         xs = np.asarray(x, dtype=np.float64)[..., 0]
-        return _scalarize(0.5 * xs * xs - scale * integral(xs))
+        flat = xs.reshape(-1)
+        out = np.empty(flat.shape)
+        for i0 in range(0, flat.size, tile):
+            t = flat[i0 : i0 + tile]
+            out[i0 : i0 + tile] = 0.5 * t * t - scale * integral(t)
+        return _scalarize(out.reshape(xs.shape))
 
     def gradient(x):
         xs = np.asarray(x, dtype=np.float64)[..., 0]

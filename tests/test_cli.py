@@ -203,6 +203,19 @@ class TestMoments:
         assert peak("300000") <= 1.5 * sampling._DRAW_AHEAD_BYTES
         capsys.readouterr()
 
+    def test_bytes_do_not_depend_on_draw_ahead_budget(self, capsys, monkeypatch):
+        # The budget sets the chunk: 26214 draws of d = 10 at 2 MiB, 819 at
+        # 64 KiB, 7 at 560 bytes; the powered norms are added one draw at a time.
+        def stdout(budget, draws):
+            monkeypatch.setattr(sampling, "_DRAW_AHEAD_BYTES", budget)
+            code, out, _ = run_cli(capsys, "moments", "--d", "10", "--draws", draws,
+                                   "--seed", "42")
+            assert code == 0
+            return out
+
+        assert stdout(2 * 2**20, "200000") == stdout(64 * 2**10, "200000")
+        assert stdout(2 * 2**20, "3001") == stdout(560, "3001")
+
     @pytest.mark.parametrize("draws", ["0", "-5"])
     def test_draws_below_one_is_exit_1(self, capsys, draws):
         code, out, err = run_cli(capsys, "moments", "--d", "2", "--draws", draws)

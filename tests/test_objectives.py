@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gndopt import (ParameterError, compute_nk, fourier_sin_coefficients,
                     j1_stationary_points, make_j1, make_j2, make_objective,
                     make_quadratic, make_rastrigin)
+from gndopt import objectives
 from gndopt.objectives import _FACTORIES
 
 
@@ -166,16 +168,40 @@ _j1_points = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.sampled_from([1, 2, 3, 7, 112, 113]), k=st.integers(1, 3),
-       shape=st.sampled_from([(1,), (1, 1), (5, 1), (3, 4, 1)]), data=st.data())
-def test_j1_one_sine_table_is_bitwise_the_two_table_value(n, k, shape, data):
+@given(n=st.sampled_from([1, 2, 3, 7, 112, 113, 199, 250]), k=st.integers(1, 3),
+       kind=st.sampled_from(["point", "row", "rows", "nd", "empty", "tiles", "nd-tiles"]),
+       rem=st.integers(1, 50), data=st.data())
+def test_j1_one_sine_table_is_bitwise_the_two_table_value(n, k, kind, rem, data):
+    # The oracle evaluates the whole batch as one table; value walks it in
+    # tiles, so the large batches span three or more tiles and a remainder.
+    tile = max(1, objectives._J1_TILE_BYTES // (8 * n))
+    shape = {"point": (1,), "row": (1, 1), "rows": (5, 1), "nd": (3, 4, 1), "empty": (0, 1),
+             "tiles": (3 * tile + rem, 1), "nd-tiles": (3, tile + rem, 1)}[kind]
     size = math.prod(shape)
-    x = np.array(data.draw(st.lists(_j1_points, min_size=size, max_size=size))).reshape(shape)
+    drawn = data.draw(st.lists(_j1_points, min_size=min(size, 40), max_size=min(size, 40)))
+    x = np.linspace(-40.0, 40.0, size)  # drawn points at scattered rows, a grid elsewhere
+    x[np.random.default_rng(rem).permutation(size)[:len(drawn)]] = drawn
+    x = x.reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):  # 1e300 gives inf - inf
         got = np.asarray(make_j1(n, k).value(x), dtype=np.float64)
         want = _two_table_j1_value(x, n, k)
     assert got.shape == want.shape == shape[:-1]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_j1_value_memory_stays_within_a_few_tiles():
+    # 20 000 rows of j1(112, 2) would be two 17.9 MB sine tables in one pass;
+    # in tiles the peak is two tiles' tables, their sums and the output.
+    j1 = make_j1(112, 2)
+    x = np.linspace(-40.0, 40.0, 20_000)[:, None]
+    j1.value(x[:10])  # first-call allocations are not part of the run below
+    tracemalloc.start()
+    try:
+        j1.value(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * objectives._J1_TILE_BYTES
 
 
 class TestJ1StationaryPoints:
