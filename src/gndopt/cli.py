@@ -23,7 +23,7 @@ from gndopt.objectives import _FACTORIES, make_objective, make_quadratic
 from gndopt.sampling import (RngStream, draw_ahead_span, fill_scaled_gaussian,
                              scaled_gaussian_norm_moments)
 from gndopt.solver import DlGndConfig, GndConfig
-from gndopt.theory import (ball_shell_grid, dlgnd_schedule, gnd_schedule,
+from gndopt.theory import (_certified, ball_shell_grid, dlgnd_schedule, gnd_schedule,
                            j2_condition_table, regularity_constants_grid,
                            symmetric_log_grid)
 
@@ -137,11 +137,12 @@ def _cmd_check(args) -> int:
     require_finite(**{"--grid-lo": args.grid_lo, "--grid-hi": args.grid_hi})
     # a 1-d grid has 2 * (grid_points // 2) points, at least 2 per side
     require_integer(4 if obj.dim == 1 else 1, **{"--grid-points": args.grid_points})
+    alpha, L = _certified(obj, args.alpha, args.L)  # a missing --alpha/--L fails before the grid
     if obj.dim == 1:
         grid = symmetric_log_grid(args.grid_lo, args.grid_hi, args.grid_points // 2)
     else:
         grid = ball_shell_grid(obj, args.grid_lo, args.grid_hi, args.grid_points, seed=args.seed)
-    report = regularity_constants_grid(obj, grid, alpha=args.alpha, L=args.L)
+    report = regularity_constants_grid(obj, grid, alpha=alpha, L=L)
     pairs = [("objective", obj.name), ("n_points", report.n_points),
              ("mu_r_hat", _fixed(report.mu_r_hat)), ("mu_p_hat", _fixed(report.mu_p_hat)),
              ("mu_q_hat", _fixed(report.mu_q_hat)), ("beta_hat", _fixed(report.beta_hat)),
@@ -282,7 +283,9 @@ def _run_experiment(args, sections: dict, name: str) -> int:
     workers = exp.pop("workers")  # recorded in the sidecar; runs are single-threaded
     require_integer(1, workers=workers)
     cfg = ExperimentConfig(objective=objective, algorithm=algorithm, **exp)
-    _progress(args, f"running {name}: trials={cfg.trials} iterations={algorithm.total_iterations}")
+    work = algorithm.work(cfg.trials, objective.dim, cfg.sg_noise_r)
+    _progress(args, f"running {name}: trials={cfg.trials} iterations={algorithm.total_iterations}"
+                    f" work: {' '.join(f'{key}={val}' for key, val in work.items())}")
     stats = run_monte_carlo(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,9 @@ attaining the minimum value over x_0..x_T (half-step values are recorded for
 the noise bookkeeping but never enter t*).
 
 Cost per iteration: one gradient evaluation (at x_t) and two value evaluations
-(at x_{t+1/2} and x_{t+1}).
+(at x_{t+1/2} and x_{t+1}); each stage (one kernel call) adds the value at its
+x_0.  A config's ``work(m, d, r)`` gives the value and gradient rows and the
+draws of a whole run.
 
 All runners drive the same batched kernel, so a single trajectory is bitwise
 identical to the corresponding row of an ensemble run with the same stream.
@@ -21,8 +23,9 @@ observer, which records the run (``gnd_run``) or keeps each row's best point
 (the double loop); the ensemble statistics are observers of
 ``gndopt.experiments``.  The double loop has one batched implementation,
 ``_dlgnd_stages``, with a lower bound per row; ``dlgnd_run`` is its one-row
-case.  Its iterations are numbered across the whole run: outer loop nu >= 1
-is the kernel call whose first iteration is t0 = T1 + (nu-1)*T2.
+case.  Its iterations are numbered across the whole run: a config's ``stages``
+lists the iterations of each kernel call, so outer loop nu >= 1 is the call
+whose first iteration is t0 = T1 + (nu-1)*T2.
 """
 
 from __future__ import annotations
@@ -42,8 +45,36 @@ Array = np.ndarray
 GUARD_LIMIT = 1e12
 
 
+def _noise_cols(d, r, s):
+    """Normals per row-iteration: d iff r > 0 (gradient noise), then d iff s > 0 (injected)."""
+    return d * ((r > 0.0) + (s > 0.0))
+
+
+class _Stages:
+    """A run's totals, from its ``stages``: the iterations of each kernel call, in order."""
+
+    @property
+    def total_iterations(self) -> int:
+        return sum(self.stages)
+
+    def work(self, m, d, r) -> dict:
+        """Objective rows and draws of a run of m trajectories with drawn starts in dimension d.
+
+        Per trajectory: one stream and its d init uniforms; per stage of T
+        iterations, 2T+1 value rows (f(x_0), then f(x_{t+1/2}) and f(x_{t+1})),
+        T gradient rows and T * _noise_cols(d, r, s) normals, r being the SG
+        oracle's noise level.
+        """
+        require_integer(1, m=m, d=d)
+        require_nonnegative(r=r)
+        m, d, iterations = int(m), int(d), self.total_iterations
+        return {"value": m * sum(2 * T + 1 for T in self.stages), "gradient": m * iterations,
+                "normals": m * iterations * _noise_cols(d, r, self.s), "uniforms": m * d,
+                "streams": m}
+
+
 @dataclass(frozen=True)
-class GndConfig:
+class GndConfig(_Stages):
     """Hyperparameters of a single GND run."""
 
     eta: float
@@ -59,12 +90,12 @@ class GndConfig:
         object.__setattr__(self, "T", int(self.T))
 
     @property
-    def total_iterations(self) -> int:
-        return self.T
+    def stages(self) -> tuple:
+        return (self.T,)
 
 
 @dataclass(frozen=True)
-class DlGndConfig:
+class DlGndConfig(_Stages):
     """Hyperparameters of a double-loop GND run.
 
     Stage one runs GND for T1 iterations with the initial lower bound f_lb0;
@@ -92,8 +123,8 @@ class DlGndConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
-    def total_iterations(self) -> int:
-        return self.T1 + self.N * self.T2
+    def stages(self) -> tuple:
+        return (self.T1,) + (self.T2,) * self.N
 
 
 @dataclass(frozen=True)
@@ -183,7 +214,7 @@ def _run_gnd_batch(objective, x0, rngs, observer, *, eta, s, f_lb, r, T, t0=0,
     r = float(r)
     draw_omega = r > 0.0
     draw_xi = s > 0.0
-    cols = d * (int(draw_omega) + int(draw_xi))
+    cols = _noise_cols(d, r, s)
     xi_cols = slice(d if draw_omega else 0, None)
 
     v = objective.value(x)
@@ -283,10 +314,9 @@ def _dlgnd_stages(objective, r, x0, cfg, rngs, observer=None, trial_base=None):
     """
     f_lb = np.full(x0.shape[0], float(cfg.f_lb0))
     x_min, t0 = x0, 0
-    for nu in range(cfg.N + 1):
+    for nu, T in enumerate(cfg.stages):
         if nu:
             f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
-        T = cfg.T2 if nu else cfg.T1
         best = _StageBest(observer)
         _run_gnd_batch(objective, x_min, rngs, best, eta=cfg.eta, s=cfg.s, f_lb=f_lb, r=r,
                        T=T, t0=t0, trial_base=trial_base)

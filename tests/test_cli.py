@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gndopt import sampling
+from gndopt import cli, sampling
 from gndopt.cli import _SCHEMA, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -158,6 +158,19 @@ class TestCheck:
         assert code == 1
         assert err == f"gndopt: {message}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("d", ["1", "10"])
+    @pytest.mark.parametrize("given", [["--alpha", "0.1"], ["--L", "3"], []],
+                             ids=["no-L", "no-alpha", "neither"])
+    def test_missing_certificate_flag_fails_before_the_grid(self, capsys, monkeypatch, d, given):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(cli, "ball_shell_grid", no_grid)
+        monkeypatch.setattr(cli, "symmetric_log_grid", no_grid)
+        code, out, err = run_cli(capsys, "check", "--function", "rastrigin", "--a", "1",
+                                 "--b", "1", "--c", "0.05", "--d", d, *given)
+        assert (code, out) == (1, "")
+        assert err == "gndopt: alpha and L are required when the objective has no certificate\n"
 
     def test_fewest_grid_points(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--function", "quadratic", "--grid-points", "4")
@@ -406,6 +419,13 @@ class TestBench:
             "[algorithm]\nalgorithm = gnd\neta = 0.4\ns = 0.5\nf_lb = 0.0\nT = 20\n\n"
             "[experiment]\ntrials = 16\nseed = 3\nthreshold = 0.001\nworkers = 1\n"
             "init_low = -10.0\ninit_high = 10.0\nsg_noise_r = 0.0\n")
+
+    def test_progress_line_states_the_work(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "bench", "j1-7-1", "--trials", "6", "--T", "4",
+                               "--out", str(tmp_path))
+        assert code == 0
+        assert err.splitlines()[0] == ("running j1-7-1-gnd: trials=6 iterations=4 work: "
+                                       "value=54 gradient=24 normals=24 uniforms=6 streams=6")
 
     def test_repeat_identical_and_worker_invariant(self, capsys, tmp_path):
         outs = []

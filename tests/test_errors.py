@@ -100,6 +100,9 @@ def _experiment(**changes):
     return ExperimentConfig(**{**params, **changes})
 
 
+_GND = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=3)
+
+
 # Each of these returned a value or raised something other than ParameterError.
 @pytest.mark.parametrize("call,message", [
     (lambda: check_eta_constraint(0.1, math.nan, 1.0, 1.0, 0.0, 1), "s must be finite, got nan"),
@@ -160,6 +163,10 @@ def _experiment(**changes):
     (lambda: stopping_time_check(make_quadratic(1.0, 1), r=1.0, ell=1.0, M=5, trials=5,
                                  x0=[5.0], seed=2**64),
      "seed must fit in 64 unsigned bits, got a 65-bit integer"),
+    (lambda: _GND.work(0, 2, 0.0), "m must be a positive integer, got 0"),
+    (lambda: _GND.work(4, 2.5, 0.0), "d must be a positive integer, got 2.5"),
+    (lambda: _GND.work(4, 2, -1.0), "r must be nonnegative, got -1.0"),
+    (lambda: _GND.work(4, 2, math.nan), "r must be finite, got nan"),
 ], ids=["check_eta_constraint-s", "nearly_convex_gate-L", "GndConfig-T-nan", "GndConfig-T-inf",
         "ExperimentConfig-trials", "j1_stationary_points-n", "gnd_iteration_bound-y0_dist_sq",
         "stopping_time_check-M", "barrier_check-x_hat", "GndConfig-eta-zero", "GndConfig-s-nan",
@@ -172,7 +179,8 @@ def _experiment(**changes):
         "RngStream-index-fraction", "RngStream-seed-huge", "ExperimentConfig-seed-fraction",
         "ExperimentConfig-seed-nan", "ExperimentConfig-seed-negative",
         "barrier_check-boundary_points", "RngStream-seed-huge-digits", "RngStream-index-huge",
-        "ExperimentConfig-seed-huge", "stopping_time_check-seed-huge"])
+        "ExperimentConfig-seed-huge", "stopping_time_check-seed-huge", "work-m-zero",
+        "work-d-fraction", "work-r-negative", "work-r-nan"])
 def test_library_probe_is_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()

@@ -205,20 +205,22 @@ class TestEnsembleKernel:
 
 
 class TestWorkPerRow:
-    """Objective rows and draws of a run, as the benchmark derives them (``Work.derived_counts``).
+    """Objective rows and draws of a run, counted, against the package's ``work(m, d, r)``.
 
     Per trajectory: one stream and its d init uniforms; per stage of T
     iterations, 2T+1 value rows (f(x_0), then f(x_{t+1/2}) and f(x_{t+1})), T
     gradient rows and T*cols normals: d columns for the gradient noise when
-    r > 0 and d for the injected noise when s > 0.
+    r > 0 and d for the injected noise when s > 0.  The formula is written out
+    here too, so the test does not read the code it checks.
     """
 
     GND = GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=7)
+    GD = GndConfig(eta=0.05, s=0.0, f_lb=0.0, T=7)
     DLGND = DlGndConfig(eta=0.1, s=0.5, f_lb0=-1.0, gamma=0.5, N=3, T1=4, T2=2)
 
     @pytest.mark.parametrize("algorithm, r, trials", [(GND, 0.3, 6), (DLGND, 0.0, 6),
-                                                      (DLGND, 0.0, None)],
-                             ids=["gnd-ensemble", "dlgnd-ensemble", "dlgnd_run"])
+                                                      (DLGND, 0.0, None), (GD, 0.0, 6)],
+                             ids=["gnd-ensemble", "dlgnd-ensemble", "dlgnd_run", "gd"])
     def test_counts_equal_derived_counts(self, monkeypatch, algorithm, r, trials):
         counts = dict.fromkeys(["value", "gradient", "normals", "uniforms", "streams"], 0)
 
@@ -251,6 +253,23 @@ class TestWorkPerRow:
         assert counts == {"value": m * sum(2 * T + 1 for T in stages),
                           "gradient": m * sum(stages), "normals": m * sum(stages) * cols,
                           "uniforms": m * d, "streams": m}
+        assert counts == algorithm.work(m, d, r)
+
+    @pytest.mark.parametrize("algorithm, m, d, want", [
+        # j1-gnd: bench j1-112-2 --T 300
+        (GndConfig(eta=0.1, s=0.2, f_lb=0.0, T=300), 2000, 1,
+         (1_202_000, 600_000, 600_000, 2_000, 2_000)),
+        # rast10d-gnd: bench rast10d-c05 --T 1000
+        (GndConfig(eta=1.5, s=1.5, f_lb=0.0, T=1000), 2000, 10,
+         (4_002_000, 2_000_000, 20_000_000, 20_000, 2_000)),
+        # dlgnd-single: ten dlgnd_run calls on the criterion-7 config
+        (DlGndConfig(eta=1.5, s=3.0, f_lb0=-20.0, gamma=0.03, N=490, T1=100, T2=10), 10, 2,
+         (104_910, 50_000, 100_000, 20, 10)),
+    ], ids=["j1-gnd", "rast10d-gnd", "dlgnd-single"])
+    def test_benchmark_workloads(self, algorithm, m, d, want):
+        """The counts a traced benchmark run measures, one workload per case."""
+        assert algorithm.work(m, d, 0.0) == dict(
+            zip(["value", "gradient", "normals", "uniforms", "streams"], want))
 
 
 def _poisoned(objective, kind, call, bad):
