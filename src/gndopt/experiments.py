@@ -1,11 +1,12 @@
 """Monte-Carlo ensemble runner, verification experiments, and CSV/SVG output.
 
 Determinism contract: trial i draws from stream ``(seed, i)``, first its d
-init-box uniforms when its start is drawn, and every ensemble runs through
-``_run_blocks``: in row blocks of a fixed size, in trial order.  The kernel
-hands x_0 and each step's iterate to an observer (``_Fold``, ``_ShadowFold``)
-that adds the block's squared distances into that iteration's running sum one
-row at a time, as ``mean(axis=0)`` over the full trials x (T+1) matrix does
+init-box uniforms when its start is drawn, and every ensemble, GND or DL-GND,
+runs through ``_run_blocks``: one call of the solver's stage loop per row block
+of a fixed size, in trial order.  The kernel hands x_0 and each step's iterate
+to an observer (``_Fold``, ``_ShadowFold``) that adds the block's squared
+distances into that iteration's running sum one row at a time, as
+``mean(axis=0)`` over the full trials x (T+1) matrix does
 (``_add_in_trial_order``).  So the output bytes do not depend on the block
 size, and memory grows with neither T nor the trial count (beyond the
 per-iteration sums and the shadow checks' 16 bytes a trial).  Diverged
@@ -26,8 +27,7 @@ from gndopt.errors import (ParameterError, require_finite, require_integer, requ
                            require_point, require_positive, require_uint64)
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream
-from gndopt.solver import (DlGndConfig, GndConfig, _check_gradients, _dlgnd_stages,
-                           _run_gnd_batch)
+from gndopt.solver import DlGndConfig, GndConfig, _check_gradients, _run_stages
 from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
 
 Array = np.ndarray
@@ -144,12 +144,8 @@ def _run_blocks(objective, r, algorithm, trials, seed, first_row, observer) -> N
         x0 = np.empty((len(rngs), objective.dim))
         for row, rng in enumerate(rngs):
             x0[row] = first_row(rng)
-        if isinstance(algorithm, GndConfig):
-            _run_gnd_batch(objective, x0, rngs, observer, eta=algorithm.eta, s=algorithm.s,
-                           f_lb=algorithm.f_lb, r=r, T=algorithm.T, trial_base=i0)
-        else:  # the outer-loop trace is not part of the statistics
-            deque(_dlgnd_stages(objective, r, x0, algorithm, rngs, observer, trial_base=i0),
-                  maxlen=0)
+        # the outer-loop trace is not part of the statistics
+        deque(_run_stages(objective, x0, rngs, observer, algorithm, r, trial_base=i0), maxlen=0)
         del rngs, x0  # no block's streams outlive it into the next
 
 

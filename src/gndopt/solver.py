@@ -12,24 +12,26 @@ attaining the minimum value over x_0..x_T (half-step values are recorded for
 the noise bookkeeping but never enter t*).
 
 Cost per iteration: one gradient evaluation (at x_t) and two value evaluations
-(at x_{t+1/2} and x_{t+1}); each stage (one kernel call) adds the value at its
-x_0.  A config's ``work(m, d, r)`` gives the value and gradient rows and the
-draws of a whole run.
+(at x_{t+1/2} and x_{t+1}); each stage adds the value at its x_0.  A config's
+``work(m, d, r)`` gives the value and gradient rows and the draws of a whole
+run.
 
-All runners drive the same batched kernel, so a single trajectory is bitwise
-identical to the corresponding row of an ensemble run with the same stream.
-The kernel keeps nothing: it hands x_0 and each step's iterate to one
-observer, which records the run (``gnd_run``) or keeps each row's best point
-(the double loop); the ensemble statistics are observers of
-``gndopt.experiments``.  The double loop has one batched implementation,
-``_dlgnd_stages``, with a lower bound per row; ``dlgnd_run`` is its one-row
-case.  Its iterations are numbered across the whole run: a config's ``stages``
-lists the iterations of each kernel call, so outer loop nu >= 1 is the call
-whose first iteration is t0 = T1 + (nu-1)*T2.
+All runners drive one batched kernel, ``_run_stages``, once per run or row
+block, so a single trajectory is bitwise identical to the corresponding row of
+an ensemble run with the same stream.  The kernel walks the config's
+``stages``: ``(T,)`` for GND, ``(T1,) + (T2,)*N`` for the double loop, whose
+outer loops update each row's lower bound from the row's best point and
+restart there.  A GND run is the one-stage case, so the double loop has no
+code of its own, and ``dlgnd_run`` is its one-row case.  Iterations are
+numbered across the whole run: outer loop nu >= 1 starts at iteration
+T1 + (nu-1)*T2.  The kernel keeps nothing but each row's best point of the
+stage: it hands x_0 and each step's iterate to one observer, which records
+the run (``gnd_run``) or folds ensemble statistics (``gndopt.experiments``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +53,7 @@ def _noise_cols(d, r, s):
 
 
 class _Stages:
-    """A run's totals, from its ``stages``: the iterations of each kernel call, in order."""
+    """A run's totals, from its ``stages``: the iterations of each stage, in order."""
 
     @property
     def total_iterations(self) -> int:
@@ -92,6 +94,11 @@ class GndConfig(_Stages):
     @property
     def stages(self) -> tuple:
         return (self.T,)
+
+    @property
+    def f_lb0(self) -> float:
+        """The lower bound of the run's one stage, by :class:`DlGndConfig`'s name."""
+        return self.f_lb
 
 
 @dataclass(frozen=True)
@@ -192,62 +199,80 @@ class _Recorder:
             self.half_values[:, t - 1], self.sigmas[:, t - 1] = vh, sig
 
 
-def _run_gnd_batch(objective, x0, rngs, observer, *, eta, s, f_lb, r, T, t0=0,
-                   trial_base=None) -> None:
-    """Run GND iterations t0 .. t0+T-1 on a batch of trajectories, one rng stream per row.
+def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
+    """Run ``cfg``'s stages on a batch of trajectories, one rng stream per row.
 
-    ``f_lb`` is a scalar or a per-row vector; ``r`` is the SG oracle's noise level.
-    The kernel keeps nothing of the run: it calls ``observer.step(t, x_t, f(x_t),
-    f(x_{t-1/2}), sigma_{t-1})`` first at t = t0 (with None for the last two) and
-    after each step, once the step's values are guarded.  The arrays it passes
-    are not written to afterwards.  Raises DivergedError, naming iteration t, as
-    soon as any row produces a non-finite value/gradient or exceeds GUARD_LIMIT.
+    ``r`` is the SG oracle's noise level.  Each stage evaluates and guards f(x_0)
+    at its first iteration t0 of the whole run, then runs its iterations; each
+    row keeps the first minimizer of f(x_t) over the stage (a strict ``<``, as
+    ``np.argmin`` picks).  After each stage the kernel yields the rows'
+    ``(f_lb, x_min, f(x_min))``; the next stage sets ``f_lb <- (1-gamma)*f_lb +
+    gamma*f(x_min)`` and restarts from x_min.  It keeps nothing of the run: it
+    calls ``observer.step(t, x_t, f(x_t), f(x_{t-1/2}), sigma_{t-1})`` first at
+    t = 0 (with None for the last two) and after each step, once the step's
+    values are guarded; a restart's x_0 takes no iteration and is not observed.
+    The arrays it passes and yields are not written to afterwards.  Raises
+    DivergedError, naming iteration t, as soon as any row produces a non-finite
+    value/gradient or exceeds GUARD_LIMIT.
     """
     x = np.array(x0, dtype=np.float64)
     m, d = x.shape
     if len(rngs) != m:
         raise ParameterError(f"need one rng stream per row: {len(rngs)} streams, {m} rows")
-    T = int(T)
-    eta = float(eta)
-    s = float(s)
+    eta = float(cfg.eta)
+    s = float(cfg.s)
     eta_s = eta * s
     r = float(r)
     draw_omega = r > 0.0
     draw_xi = s > 0.0
     cols = _noise_cols(d, r, s)
     xi_cols = slice(d if draw_omega else 0, None)
-
-    v = objective.value(x)
-    _check_values(v, t0, trial_base)
-    observer.step(t0, x, v, None, None)
+    total = cfg.total_iterations
 
     # Noise for up to `most` iterations, already divided by sqrt(d): one buffer
-    # per call within the draw-ahead budget, refilled in place, stream by
-    # stream in draw order.
-    most = draw_ahead_span(m, cols, T) if cols else 0
+    # per run within the draw-ahead budget, refilled in place, stream by stream
+    # in draw order, across stage boundaries.
+    most = draw_ahead_span(m, cols, total) if cols else 0
     block = np.empty((m, most, cols)) if cols else None
-    span = bpos = 0
-    for t in range(t0, t0 + T):
-        if cols and bpos == span:
-            span = min(most, t0 + T - t)
-            fill_scaled_gaussian(block[:, :span], rngs, d)
-            bpos = 0
-        g = objective.gradient(x)
-        _check_gradients(g, t, trial_base)
-        if draw_omega:
-            g = g + r * block[:, bpos, :d]
-        xh = x - eta * g
-        vh = objective.value(xh)
-        _check_values(vh, t, trial_base, HALF_VALUE)
-        sig = np.sqrt(eta_s * np.maximum(vh - f_lb, 0.0))
-        if draw_xi:
-            x = xh - sig[:, None] * block[:, bpos, xi_cols]
-        else:
-            x = xh
-        bpos += 1
+    span = bpos = t0 = 0
+    f_lb = np.full(m, float(cfg.f_lb0))
+    for nu, T in enumerate(cfg.stages):
+        if nu:
+            f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
+            x = x_min
         v = objective.value(x)
-        _check_values(v, t + 1, trial_base)
-        observer.step(t + 1, x, v, vh, sig)
+        _check_values(v, t0, trial_base)
+        if not nu and observer is not None:
+            observer.step(0, x, v, None, None)
+        x_min, v_min = x.copy(), v.copy()
+        for t in range(t0, t0 + T):
+            if cols and bpos == span:
+                span = min(most, total - t)
+                fill_scaled_gaussian(block[:, :span], rngs, d)
+                bpos = 0
+            g = objective.gradient(x)
+            _check_gradients(g, t, trial_base)
+            if draw_omega:
+                g = g + r * block[:, bpos, :d]
+            xh = x - eta * g
+            vh = objective.value(xh)
+            _check_values(vh, t, trial_base, HALF_VALUE)
+            sig = np.sqrt(eta_s * np.maximum(vh - f_lb, 0.0))
+            if draw_xi:
+                x = xh - sig[:, None] * block[:, bpos, xi_cols]
+            else:
+                x = xh
+            bpos += 1
+            v = objective.value(x)
+            _check_values(v, t + 1, trial_base)
+            if observer is not None:
+                observer.step(t + 1, x, v, vh, sig)
+            better = v < v_min
+            if better.any():
+                np.copyto(v_min, v, where=better)
+                np.copyto(x_min, x, where=better[:, None])
+        yield f_lb, x_min, v_min
+        t0 += T
 
 
 def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig,
@@ -255,8 +280,7 @@ def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig,
     """Run GND for cfg.T iterations from x0, recording the full trajectory."""
     x0 = require_point(objective.dim, x0=x0)
     rec = _Recorder(1, cfg.T, x0.size)
-    _run_gnd_batch(objective, x0[None, :], [rng], rec, eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb,
-                   r=oracle.r, T=cfg.T)
+    deque(_run_stages(objective, x0[None, :], [rng], rec, cfg, oracle.r), maxlen=0)
     # argmin returns the first minimizing index
     return Trajectory(points=rec.points[0], values=rec.values[0], sigmas=rec.sigmas[0],
                       half_values=rec.half_values[0], t_star=int(np.argmin(rec.values[0])))
@@ -272,54 +296,11 @@ def dlgnd_run(objective: Objective, oracle: SgOracle, x0, cfg: DlGndConfig,
               rng: RngStream) -> DlGndTrace:
     """Run the double-loop scheme, returning the outer-loop trace.
 
-    The rng stream is consumed sequentially across all inner runs, so a
+    The rng stream is consumed sequentially across all stages, so a
     double-loop run owns exactly one stream like any other trajectory.  This
-    is the one-row case of :func:`_dlgnd_stages`.
+    is the one-row case of the kernel's stage loop (:func:`_run_stages`).
     """
     x0 = require_point(objective.dim, x0=x0)
-    lb, mins, vals = zip(*_dlgnd_stages(objective, oracle.r, x0[None, :], cfg, [rng]))
+    lb, mins, vals = zip(*_run_stages(objective, x0[None, :], [rng], None, cfg, oracle.r))
     return DlGndTrace(lb_history=np.concatenate(lb), min_points=np.concatenate(mins),
                       min_values=np.concatenate(vals))
-
-
-class _StageBest:
-    """Each row's first minimizer of f(x_t) over one stage, forwarding each step to an observer.
-
-    A strict ``<`` keeps the first minimizer, as ``np.argmin`` does on guarded values.  The
-    stage's x_0 comes at its first iteration t0 (``vh`` None); a restart's is not observed.
-    """
-
-    def __init__(self, observer):
-        self.observer = observer
-
-    def step(self, t, x, v, vh, sig):
-        if vh is None:
-            self.x, self.v = x.copy(), v.copy()
-        else:
-            better = v < self.v
-            if better.any():
-                np.copyto(self.v, v, where=better)
-                np.copyto(self.x, x, where=better[:, None])
-        if self.observer is not None and (vh is not None or not t):
-            self.observer.step(t, x, v, vh, sig)
-
-
-def _dlgnd_stages(objective, r, x0, cfg, rngs, observer=None, trial_base=None):
-    """Run the double-loop scheme on a batch of trajectories, one rng stream per row.
-
-    Yields each row's ``(f_lb, x_min, f(x_min))`` after stage one and after
-    each outer loop; each row keeps its own lower bound f_lb.  A stage is one kernel
-    call from the running best point at its first iteration t0 of the whole run,
-    as an ``observer`` and a DivergedError see it; a restart's x_0 is not observed.
-    """
-    f_lb = np.full(x0.shape[0], float(cfg.f_lb0))
-    x_min, t0 = x0, 0
-    for nu, T in enumerate(cfg.stages):
-        if nu:
-            f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
-        best = _StageBest(observer)
-        _run_gnd_batch(objective, x_min, rngs, best, eta=cfg.eta, s=cfg.s, f_lb=f_lb, r=r,
-                       T=T, t0=t0, trial_base=trial_base)
-        x_min, v_min = best.x, best.v
-        yield f_lb, x_min, v_min
-        t0 += T

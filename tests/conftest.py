@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from gndopt import GndConfig, gnd_run
-from gndopt.solver import _dlgnd_stages
+from gndopt.solver import _run_stages
 
 pytest_plugins = ("pytester",)
 
@@ -110,5 +110,5 @@ def stacked_dlgnd(objective, oracle, x0s, cfg, rngs, observer=None):
     Returns ``(lb_history, min_points, min_values)`` of shapes (m, N+1),
     (m, N+1, d) and (m, N+1): row i is trajectory i's trace.
     """
-    stages = _dlgnd_stages(objective, oracle.r, x0s, cfg, rngs, observer)
+    stages = _run_stages(objective, x0s, rngs, observer, cfg, oracle.r)
     return tuple(np.stack(arrays, axis=1) for arrays in zip(*stages))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -299,8 +300,8 @@ class TestContractionCheck:
         sched = rep.schedule
         res = solver._Recorder(trials, T, 2)
         rngs = [RngStream(seed, i) for i in range(trials)]
-        solver._run_gnd_batch(q, np.tile(x0, (trials, 1)), rngs, res, eta=sched.eta, s=sched.s,
-                              f_lb=q.min_value, r=r, T=T)
+        cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=q.min_value, T=T)
+        deque(solver._run_stages(q, np.tile(x0, (trials, 1)), rngs, res, cfg, r), maxlen=0)
         diff = res.points - sched.eta * q.gradient(res.points) - q.minimizer
         d2 = np.sum(diff * diff, axis=-1)  # (trials, T+1)
         means = d2.mean(axis=0)

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -110,8 +111,9 @@ def _kernel_gradient_noise(obj, r, x0, seed, rows=1000, steps=100):
     """
     eta = 0.1
     rec = solver._Recorder(rows, steps, obj.dim)
-    solver._run_gnd_batch(obj, np.tile(x0, (rows, 1)), [RngStream(seed, i) for i in range(rows)],
-                          rec, eta=eta, s=0.0, f_lb=0.0, r=r, T=steps)
+    cfg = GndConfig(eta=eta, s=0.0, f_lb=0.0, T=steps)
+    deque(solver._run_stages(obj, np.tile(x0, (rows, 1)),
+                             [RngStream(seed, i) for i in range(rows)], rec, cfg, r), maxlen=0)
     x, x_next = rec.points[:, :-1], rec.points[:, 1:]
     return ((x - eta * obj.gradient(x) - x_next) / eta).reshape(-1, obj.dim)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +16,14 @@ from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
                     run_monte_carlo, sampling, solver, stopping_time_check)
 from gndopt.cli import main
 from gndopt.experiments import _Fold
-from gndopt.solver import GUARD_LIMIT, _dlgnd_stages, _Recorder, _run_gnd_batch
+from gndopt.solver import GUARD_LIMIT, _Recorder, _run_stages
 
 DATA = Path(__file__).parent / "data"
 
 
-def _gnd_batch(objective, r, x0s, cfg, rngs, observer, trial_base=None):
-    """The kernel on the step size, noise scale, lower bound and iterations of ``cfg``."""
-    _run_gnd_batch(objective, x0s, rngs, observer, eta=cfg.eta, s=cfg.s, f_lb=cfg.f_lb, r=r,
-                   T=cfg.T, trial_base=trial_base)
+def _run_batch(objective, r, x0s, cfg, rngs, observer, trial_base=None):
+    """The kernel run to its end on ``cfg``'s stages."""
+    deque(_run_stages(objective, x0s, rngs, observer, cfg, r, trial_base=trial_base), maxlen=0)
 
 
 class TestSigma:
@@ -185,7 +185,7 @@ class TestEnsembleKernel:
         x0s = np.array([[8.0], [-4.0], [2.5], [0.1]])
         rngs = [RngStream(21, i) for i in range(4)]
         res = _Recorder(4, cfg.T, 1)
-        _gnd_batch(j1, oracle.r, x0s, cfg, rngs, res)
+        _run_batch(j1, oracle.r, x0s, cfg, rngs, res)
         for i in range(4):
             single = gnd_run(j1, oracle, x0s[i], cfg, RngStream(21, i))
             assert np.array_equal(res.points[i], single.points)
@@ -199,7 +199,7 @@ class TestEnsembleKernel:
         cfg = GndConfig(eta=3.0, s=0.0, f_lb=0.0, T=300)
         x0s = np.array([[1e-9], [10.0]])  # second row blows up first
         with pytest.raises(DivergedError) as err:
-            _gnd_batch(q, 0.0, x0s, cfg, [RngStream(0, 0), RngStream(0, 1)],
+            _run_batch(q, 0.0, x0s, cfg, [RngStream(0, 0), RngStream(0, 1)],
                        _Fold(q.minimizer, 1.0, cfg.T + 1), trial_base=40)
         assert err.value.trial == 41
 
@@ -309,7 +309,7 @@ class TestDivergenceGuard:
         rngs = [RngStream(0, i) for i in range(5)]
         fold = _Fold(q.minimizer, 1e-6, cfg.T + 1)
         with pytest.raises(DivergedError) as err:
-            _gnd_batch(q, 0.3, x0s, cfg, rngs, fold, trial_base=40)
+            _run_batch(q, 0.3, x0s, cfg, rngs, fold, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
         assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
 
@@ -374,9 +374,13 @@ class TestNoiseBlockInvariance:
 
         monkeypatch.setattr(sampling, "_DRAW_AHEAD_BYTES", budget)
         monkeypatch.setattr(RngStream, "normals", counted)
-        _run_gnd_batch(q, np.ones((4, 1)), [RngStream(1, i) for i in range(4)],
-                       _Fold(q.minimizer, 1.0, 11), eta=0.1, s=0.5, f_lb=0.0, r=0.5, T=10)
-        assert calls == [(span, 2) for span in spans for _ in range(4)]
+        # One block per run: DL-GND's 4 + 3 + 3 iterations refill as GND's 10 do.
+        for cfg in (GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10),
+                    DlGndConfig(eta=0.1, s=0.5, f_lb0=0.0, gamma=0.5, N=2, T1=4, T2=3)):
+            calls.clear()
+            _run_batch(q, 0.5, np.ones((4, 1)), cfg, [RngStream(1, i) for i in range(4)],
+                       _Fold(q.minimizer, 1.0, 11))
+            assert calls == [(span, 2) for span in spans for _ in range(4)]
         # `gndopt moments` draws one row of d columns per draw: at d = 8 the
         # same budget gives the same spans as 4 rows x 2 columns.
         calls.clear()
@@ -388,17 +392,21 @@ class TestNoiseBlockInvariance:
         rast = make_rastrigin(1.0, 1.0, 0.05, 10)
         x0 = np.linspace(-4.0, 4.0, 2560).reshape(256, 10)
 
-        def peak(r, s):
+        def peak(r, s, traced=True):
             cfg = GndConfig(eta=0.05, s=s, f_lb=0.0, T=300)
             rngs = [RngStream(3, i) for i in range(256)]
             fold = _Fold(rast.minimizer, 1.0, cfg.T + 1)
-            tracemalloc.start()
+            if traced:
+                tracemalloc.start()
             try:
-                _gnd_batch(rast, r, x0, cfg, rngs, fold)
+                _run_batch(rast, r, x0, cfg, rngs, fold)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
+        # First-call allocations are not part of either measured run below.
+        peak(0.3, 2.0, traced=False)
+        peak(0.0, 0.0, traced=False)
         # Against the same run without noise columns; the rest is the noisy
         # step's (256, 10) temporaries (each refill draws into the buffer).
         noise = peak(0.3, 2.0) - peak(0.0, 0.0)
@@ -414,7 +422,7 @@ class TestNoiseBlockInvariance:
 
         def folded(rows, *others):
             fold = _Fold(rast.minimizer, thr2, cfg.T + 1)
-            _gnd_batch(rast, oracle.r, x0s[rows], cfg, [RngStream(4, i) for i in rows],
+            _run_batch(rast, oracle.r, x0s[rows], cfg, [RngStream(4, i) for i in rows],
                        _Both(fold, *others))
             return fold
 
@@ -586,8 +594,7 @@ class TestDlGndBatch:
         rngs = [RngStream(0, i) for i in range(5)]
         fold = _Fold(q.minimizer, 1e-6, cfg.total_iterations + 1)
         with pytest.raises(DivergedError) as err:
-            list(_dlgnd_stages(q, 0.3, np.full((5, 2), 2.0), cfg, rngs, fold,
-                               trial_base=40))
+            _run_batch(q, 0.3, np.full((5, 2), 2.0), cfg, rngs, fold, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, call, "gradient")
 
 
