@@ -3,7 +3,8 @@
 A scalar parameter is valid only when it is finite and in its range.  The
 ``require_*`` checks take ``name=value`` keywords, test them in the order
 given and raise :class:`ParameterError` on the first bad one: a NaN or
-infinite value as ``"{name} must be finite, got {value}"``, a finite value out
+infinite value, or where a real number is asked an int beyond float range, as
+``"{name} must be finite, got {value}"``, a finite value out
 of range as ``"{name} must be positive, got {value}"`` (or ``be nonnegative``,
 ``be a positive integer``, ``be a nonnegative integer``, ``be an integer >=
 {least}``, ``lie in (0, 1)``, ``fit in 64 unsigned bits``; an integer wider
@@ -52,11 +53,8 @@ class DivergedError(RuntimeError):
 
 
 def require_finite(**params) -> None:
-    """Raise ParameterError naming the first parameter that is NaN or infinite."""
-    for name, value in params.items():
-        # an int is finite; math.isfinite would overflow on one beyond float range
-        if not isinstance(value, int) and not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value}")
+    """Raise ParameterError naming the first parameter that is NaN, infinite or beyond float range."""
+    _require(params, lambda v: True, "")
 
 
 def require_point(dim: int, **points):
@@ -72,13 +70,16 @@ def require_point(dim: int, **points):
     return out[0] if len(out) == 1 else tuple(out)
 
 
-def _require(params, holds, wording) -> None:
+def _require(params, holds, wording, whole=False) -> None:
     for name, value in params.items():
-        require_finite(**{name: value})
-        if not holds(value):
+        try:  # any int is a finite count, but math.isfinite overflows beyond float range
+            finite = (whole and isinstance(value, int)) or math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite or not holds(value):
             if isinstance(value, int) and value.bit_length() > 64:  # not thousands of digits
                 value = f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
-            raise ParameterError(f"{name} must {wording}, got {value}")
+            raise ParameterError(f"{name} must {wording if finite else 'be finite'}, got {value}")
 
 
 def require_positive(**params) -> None:
@@ -103,10 +104,10 @@ def require_integer(least: int, **params) -> None:
     """
     kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(least,
                                                                      f"an integer >= {least}")
-    _require(params, lambda v: v >= least and v == int(v), f"be {kind}")
+    _require(params, lambda v: v >= least and v == int(v), f"be {kind}", whole=True)
 
 
 def require_uint64(**params) -> None:
     """Raise ParameterError naming the first parameter that is not an integer in [0, 2**64)."""
     require_integer(0, **params)
-    _require(params, lambda v: int(v) < 2**64, "fit in 64 unsigned bits")
+    _require(params, lambda v: int(v) < 2**64, "fit in 64 unsigned bits", whole=True)

@@ -5,11 +5,11 @@ init-box uniforms when its start is drawn, and every ensemble, GND or DL-GND,
 runs through ``_run_blocks``: one call of the solver's stage loop per row block
 of a fixed size, in trial order.  The kernel hands x_0 and each step's iterate
 to an observer (``_Fold``, ``_ShadowFold``) that adds the block's squared
-distances into that iteration's running sum one row at a time, as
-``mean(axis=0)`` over the full trials x (T+1) matrix does
-(``_add_in_trial_order``).  So the output bytes do not depend on the block
+distances into that iteration's running sum one row at a time, in trial order
+(``_add_in_trial_order``), as ``mean(axis=0)`` over the full trials x (T+1)
+matrix does when T >= 1.  So the output bytes do not depend on the block
 size, and memory grows with neither T nor the trial count (beyond the
-per-iteration sums and the shadow checks' 16 bytes a trial).  Diverged
+per-iteration sums and the shadow checks' per-trial minimum).  Diverged
 trajectories abort the whole experiment (silently dropping them would bias
 the error statistics).
 """
@@ -71,7 +71,6 @@ class StatsSeries:
 
     mse: Array
     ncp: Array
-    trials: int
 
     def __post_init__(self):
         self.mse.setflags(write=False)
@@ -161,22 +160,22 @@ def run_monte_carlo(cfg: ExperimentConfig) -> StatsSeries:
                  cfg.algorithm.total_iterations + 1)
     _run_blocks(obj, cfg.sg_noise_r, cfg.algorithm, cfg.trials, cfg.seed,
                 lambda rng: low + (high - low) * rng.uniforms(obj.dim), fold)
-    return StatsSeries(mse=fold.total / cfg.trials, ncp=fold.misses / cfg.trials,
-                       trials=cfg.trials)
+    return StatsSeries(mse=fold.total / cfg.trials, ncp=fold.misses / cfg.trials)
 
 
 class _ShadowFold:
     """Per-t sums over the trials of d2_t = ||y_t - x*||^2, y_t = x_t - eta*grad f(x_t).
 
-    ``step(t, x)`` evaluates and guards grad f(x_t) as iteration t and sums d2_t,
-    or given the first pass's ``means``, (d2_t - means[t])^2: the two passes of
-    ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` over the trials x (T+1) matrix.
-    Per trial it keeps d2_0 (``start``) and the running minimum (``least``).
+    ``step(t, x)`` evaluates and guards grad f(x_t) as iteration t and adds d2_t,
+    or given the first pass's ``means``, (d2_t - means[t])^2, in trial order:
+    for T >= 1 the two passes of ``mean(axis=0)`` and ``std(axis=0, ddof=1)``
+    over the trials x (T+1) matrix.  Every trial starts at the same x0, so d2_0
+    is one number (``start``); per trial it keeps the running minimum (``least``).
     """
 
     def __init__(self, objective, eta, width, trials, means=None):
         self.objective, self.eta, self.means = objective, eta, means
-        self.total, self.start, self.least = np.zeros(width), np.empty(trials), np.empty(trials)
+        self.total, self.least, self.start = np.zeros(width), np.empty(trials), math.nan
         self.rows = slice(0, 0)  # the block's trials
 
     def step(self, t, x, *_):
@@ -187,22 +186,13 @@ class _ShadowFold:
         diff = x - self.eta * g - self.objective.minimizer
         d2 = np.add.reduce(diff * diff, axis=-1)
         if not t:
-            self.start[self.rows] = self.least[self.rows] = d2
+            self.start = float(d2[0])
+            self.least[self.rows] = d2
         np.minimum(self.least[self.rows], d2, out=self.least[self.rows])
-        if len(self.total) > 1:
-            _add_in_trial_order(self.total, t, self._term(t, d2))
-
-    def _term(self, t, d2):
-        if self.means is None:
-            return d2
-        dev = d2 - self.means[t]
-        return dev * dev
-
-    def sums(self) -> Array:
-        """The per-t sums; numpy reduces a one-column matrix (T = 0) pairwise, from ``start``."""
-        if len(self.total) > 1:
-            return self.total
-        return np.add.reduce(self._term(0, self.start), keepdims=True)
+        if self.means is not None:
+            d2 -= self.means[t]
+            d2 *= d2
+        _add_in_trial_order(self.total, t, d2)
 
 
 def _shadow(objective, r, x0, T, trials, seed, means=None) -> tuple[_ShadowFold, Schedule]:
@@ -225,25 +215,24 @@ def _shadow(objective, r, x0, T, trials, seed, means=None) -> tuple[_ShadowFold,
 
 
 def contraction_check(objective: Objective, r: float, trials: int, x0, T: int,
-                      seed: int, slack: float = 1.1) -> ContractionReport:
+                      seed: int) -> ContractionReport:
     """Verify the per-iteration contraction of the mean squared shadow distance.
 
     The empirical mean of ||y_t - x*||^2 over the ensemble must stay below
-    ``slack * ((1 - eta*lam/100)^t * ||y0 - x*||^2 + 100*b)`` plus three
+    ``1.1 * ((1 - eta*lam/100)^t * ||y0 - x*||^2 + 100*b)`` plus three
     standard errors of the ensemble mean, at every t.
     """
-    require_positive(slack=slack)
     require_integer(0, T=T)
     T = int(T)
     fold, sched = _shadow(objective, r, x0, T, trials, seed)
-    means = fold.sums() / trials
+    means = fold.total / trials
     se = np.zeros_like(means)
     if trials > 1:  # a second pass over the same streams sums the squared deviations
-        dev2 = _shadow(objective, r, x0, T, trials, seed, means)[0].sums()
+        dev2 = _shadow(objective, r, x0, T, trials, seed, means)[0].total
         se = np.sqrt(dev2 / (trials - 1)) / math.sqrt(trials)
     rho = 1.0 - sched.eta_lam / 100.0
     t = np.arange(T + 1)
-    bounds = slack * (rho**t * fold.start[0] + 100.0 * sched.b) + 3.0 * se
+    bounds = 1.1 * (rho**t * fold.start + 100.0 * sched.b) + 3.0 * se
     margins = bounds - means
     bad = margins < 0.0
     first = int(np.argmax(bad)) if bad.any() else None
@@ -258,8 +247,8 @@ def stopping_time_check(objective: Objective, r: float, ell: float, M: int,
     Runs the certified schedule with f_lb = f*, forms X_t = ||y_t - x*||^2 - 100b
     (a process with contraction factor theta = 1 - eta*lam/100 and floor -100b),
     and reports the fraction of trials with X_t < ell for some t <= M next to
-    :func:`gndopt.theory.stopping_time_bound` evaluated at the empirical
-    B = E[X_0 * 1{X_0 >= ell}].
+    :func:`gndopt.theory.stopping_time_bound` evaluated at
+    B = E[X_0 * 1{X_0 >= ell}], which is exact: every trial starts at x0.
     """
     require_positive(r=r)
     require_finite(ell=ell)
@@ -270,8 +259,8 @@ def stopping_time_check(objective: Objective, r: float, ell: float, M: int,
     # Rounding x - floor is monotone in x, so the running minimum dips below
     # ell exactly when some X_t does.
     empirical = float(np.count_nonzero(fold.least - floor < ell) / trials)
-    x0_vals = fold.start - floor
-    b_hat = float(np.mean(x0_vals * (x0_vals >= ell)))
+    x0_val = fold.start - floor  # every trial's X_0
+    b_hat = x0_val if x0_val >= ell else 0.0
     analytic = stopping_time_bound(theta, floor, ell, int(M), b_hat)
     return StoppingTimeReport(empirical_p=empirical, analytic_bound=analytic,
                               B_hat=b_hat, theta=theta, floor=floor, M=int(M), ell=ell)

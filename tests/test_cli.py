@@ -200,6 +200,7 @@ class TestMoments:
         assert float(pairs["m2_exact"]) == 1.0
         assert abs(float(pairs["m2_mc"]) - 1.0) <= 0.05
 
+    @pytest.mark.tracemalloc
     def test_memory_stays_within_draw_ahead_budget(self, capsys):
         # 300000 draws of d = 10 are 24 MB of noise.  The chunks are the
         # draw-ahead budget's, squared in place: the peak is one chunk and its

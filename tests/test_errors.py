@@ -9,8 +9,9 @@ import numpy as np
 from gndopt import (DlGndConfig, ExperimentConfig, GndConfig, ParameterError, RngStream,
                     SgOracle, barrier_check, check_eta_constraint, contraction_check, dlgnd_run,
                     estimate_beta_quadratic, gnd_iteration_bound, gnd_run, gnd_schedule,
-                    j1_stationary_points, make_objective, make_quadratic, nearly_convex_gate,
-                    regularity_constants_grid, run_monte_carlo, stopping_time_check)
+                    j1_stationary_points, make_objective, make_quadratic, make_rastrigin,
+                    nearly_convex_gate, regularity_constants_grid, run_monte_carlo,
+                    stopping_time_check)
 from gndopt.errors import (require_finite, require_integer, require_nonnegative, require_point,
                            require_positive, require_uint64, require_unit_interval)
 
@@ -101,6 +102,7 @@ def _experiment(**changes):
 
 
 _GND = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=3)
+_Q = make_quadratic(1.0, 1)
 
 
 # Each of these returned a value or raised something other than ParameterError.
@@ -167,6 +169,15 @@ _GND = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=3)
     (lambda: _GND.work(4, 2.5, 0.0), "d must be a positive integer, got 2.5"),
     (lambda: _GND.work(4, 2, -1.0), "r must be nonnegative, got -1.0"),
     (lambda: _GND.work(4, 2, math.nan), "r must be finite, got nan"),
+    # a real-valued parameter given as an int beyond float range
+    (lambda: make_quadratic(10**400, 1), "alpha must be finite, got a 1329-bit integer"),
+    (lambda: make_rastrigin(10**400, 1.0, 1.0, 2), "a must be finite, got a 1329-bit integer"),
+    (lambda: gnd_schedule(10**400, 10**401, 0.0, 0.0),
+     "alpha must be finite, got a 1329-bit integer"),
+    (lambda: gnd_run(_Q, SgOracle(_Q, 0.0), [1.0], GndConfig(eta=10**400, s=0.5, f_lb=0.0, T=5),
+                     RngStream(0, 0)), "eta must be finite, got a 1329-bit integer"),
+    (lambda: gnd_run(_Q, SgOracle(_Q, 10**400), [1.0], _GND, RngStream(0, 0)),
+     "r must be finite, got a 1329-bit integer"),
 ], ids=["check_eta_constraint-s", "nearly_convex_gate-L", "GndConfig-T-nan", "GndConfig-T-inf",
         "ExperimentConfig-trials", "j1_stationary_points-n", "gnd_iteration_bound-y0_dist_sq",
         "stopping_time_check-M", "barrier_check-x_hat", "GndConfig-eta-zero", "GndConfig-s-nan",
@@ -180,7 +191,8 @@ _GND = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=3)
         "ExperimentConfig-seed-nan", "ExperimentConfig-seed-negative",
         "barrier_check-boundary_points", "RngStream-seed-huge-digits", "RngStream-index-huge",
         "ExperimentConfig-seed-huge", "stopping_time_check-seed-huge", "work-m-zero",
-        "work-d-fraction", "work-r-negative", "work-r-nan"])
+        "work-d-fraction", "work-r-negative", "work-r-nan", "make_quadratic-alpha-huge",
+        "make_rastrigin-a-huge", "gnd_schedule-alpha-huge", "gnd_run-eta-huge", "gnd_run-r-huge"])
 def test_library_probe_is_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()
@@ -189,9 +201,6 @@ def test_library_probe_is_parameter_error(call, message):
 
 def _dlgnd(n):
     return DlGndConfig(eta=0.4, s=0.5, f_lb0=-1.0, gamma=0.5, N=n, T1=n, T2=n)
-
-
-_Q = make_quadratic(1.0, 1)
 
 
 # require_integer passes integral floats; each count so given runs as its int.

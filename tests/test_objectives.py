@@ -189,6 +189,7 @@ def test_j1_one_sine_table_is_bitwise_the_two_table_value(n, k, kind, rem, data)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.tracemalloc
 def test_j1_value_memory_stays_within_a_few_tiles():
     # 20 000 rows of j1(112, 2) would be two 17.9 MB sine tables in one pass;
     # in tiles the peak is two tiles' tables, their sums and the output.

@@ -387,6 +387,7 @@ class TestNoiseBlockInvariance:
         assert main(["moments", "--d", "8", "--draws", "10", "--seed", "3"]) == 0
         assert calls == [(span, 8) for span in spans]
 
+    @pytest.mark.tracemalloc
     def test_noise_buffer_stays_within_budget(self):
         # m = 256 rows x 20 columns x 300 iterations would be 12.3 MB in one block.
         rast = make_rastrigin(1.0, 1.0, 0.05, 10)
