@@ -27,7 +27,7 @@ from gndopt.errors import (ParameterError, require_finite, require_integer, requ
                            require_point, require_positive, require_uint64)
 from gndopt.objectives import Objective
 from gndopt.sampling import RngStream
-from gndopt.solver import DlGndConfig, GndConfig, _check_gradients, _run_stages
+from gndopt.solver import DlGndConfig, GndConfig, _run_stages
 from gndopt.theory import Schedule, gnd_schedule, stopping_time_bound
 
 Array = np.ndarray
@@ -166,40 +166,40 @@ def run_monte_carlo(cfg: ExperimentConfig) -> StatsSeries:
 class _ShadowFold:
     """Per-t sums over the trials of d2_t = ||y_t - x*||^2, y_t = x_t - eta*grad f(x_t).
 
-    ``step(t, x)`` evaluates and guards grad f(x_t) as iteration t and adds d2_t,
-    or given the first pass's ``means``, (d2_t - means[t])^2, in trial order:
-    for T >= 1 the two passes of ``mean(axis=0)`` and ``std(axis=0, ddof=1)``
-    over the trials x (T+1) matrix.  Every trial starts at the same x0, so d2_0
-    is one number (``start``); per trial it keeps the running minimum (``least``).
+    It keeps each step's iterate; the next step hands it grad f(x_t), which the
+    kernel has evaluated and guarded as iteration t, and it adds d2_t, or given
+    the first pass's ``means``, (d2_t - means[t])^2, in trial order: for T >= 1
+    the two passes of ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` over the
+    trials x (T+1) matrix.  Every trial starts at the same x0, so d2_0 is one
+    number (``start``); per trial it keeps the running minimum (``least``).
     """
 
-    def __init__(self, objective, eta, width, trials, means=None):
-        self.objective, self.eta, self.means = objective, eta, means
-        self.total, self.least, self.start = np.zeros(width), np.empty(trials), math.nan
-        self.rows = slice(0, 0)  # the block's trials
+    def __init__(self, x_star, eta, width, trials, means=None):
+        self.x_star, self.eta, self.means = x_star, eta, means
+        self.total, self.least, self.start = np.zeros(width), np.full(trials, np.inf), math.nan
+        self.rows, self.x = slice(0, 0), None  # the block's trials and their last iterate
 
-    def step(self, t, x, *_):
+    def step(self, t, x, _v, _vh, _sig, g):
         if not t:
             self.rows = slice(self.rows.stop, self.rows.stop + len(x))
-        g = self.objective.gradient(x)
-        _check_gradients(g, t, self.rows.start)
-        diff = x - self.eta * g - self.objective.minimizer
-        d2 = np.add.reduce(diff * diff, axis=-1)
-        if not t:
-            self.start = float(d2[0])
-            self.least[self.rows] = d2
-        np.minimum(self.least[self.rows], d2, out=self.least[self.rows])
-        if self.means is not None:
-            d2 -= self.means[t]
-            d2 *= d2
-        _add_in_trial_order(self.total, t, d2)
+        else:
+            diff = self.x - self.eta * g - self.x_star
+            d2 = np.add.reduce(diff * diff, axis=-1)
+            if t == 1:
+                self.start = float(d2[0])
+            np.minimum(self.least[self.rows], d2, out=self.least[self.rows])
+            if self.means is not None:
+                d2 -= self.means[t - 1]
+                d2 *= d2
+            _add_in_trial_order(self.total, t - 1, d2)
+        self.x = x
 
 
 def _shadow(objective, r, x0, T, trials, seed, means=None) -> tuple[_ShadowFold, Schedule]:
-    """Run the fixed-x0 GND ensemble through a :class:`_ShadowFold`.
+    """Run the fixed-x0 GND ensemble through a :class:`_ShadowFold`, folding y_0..y_T.
 
     The certified schedule with f_lb = f* reduces b to the oracle term eta*r^2/lam.
-    The kernel guards f(x_t) before the fold evaluates grad f(x_t).
+    The run takes T+1 iterations: the last one hands the fold grad f(x_T).
     """
     if objective.certificate is None:
         raise ParameterError("a certified objective is required")
@@ -207,9 +207,9 @@ def _shadow(objective, r, x0, T, trials, seed, means=None) -> tuple[_ShadowFold,
     require_uint64(seed=seed)
     alpha, big_l = objective.certificate
     sched = gnd_schedule(alpha, big_l, r, f_gap=0.0)
-    cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=objective.min_value, T=T)
+    cfg = GndConfig(eta=sched.eta, s=sched.s, f_lb=objective.min_value, T=T + 1)
     point = require_point(objective.dim, x0=x0)
-    fold = _ShadowFold(objective, sched.eta, T + 1, int(trials), means)
+    fold = _ShadowFold(objective.minimizer, sched.eta, T + 1, int(trials), means)
     _run_blocks(objective, r, cfg, int(trials), seed, lambda rng: point, fold)
     return fold, sched
 

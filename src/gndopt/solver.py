@@ -25,8 +25,9 @@ restart there.  A GND run is the one-stage case, so the double loop has no
 code of its own, and ``dlgnd_run`` is its one-row case.  Iterations are
 numbered across the whole run: outer loop nu >= 1 starts at iteration
 T1 + (nu-1)*T2.  The kernel keeps nothing but each row's best point of the
-stage: it hands x_0 and each step's iterate to one observer, which records
-the run (``gnd_run``) or folds ensemble statistics (``gndopt.experiments``).
+stage: it hands x_0, and each step's iterate with the gradient at the step's
+start, to one observer, which records the run (``gnd_run``) or folds ensemble
+statistics (``gndopt.experiments``) and evaluates no gradient of its own.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class _Recorder:
         self.points, self.values = np.empty((m, T + 1, d)), np.empty((m, T + 1))
         self.sigmas, self.half_values = np.empty((m, T)), np.empty((m, T))
 
-    def step(self, t, x, v, vh, sig):
+    def step(self, t, x, v, vh, sig, _g):
         self.points[:, t], self.values[:, t] = x, v
         if t:
             self.half_values[:, t - 1], self.sigmas[:, t - 1] = vh, sig
@@ -208,12 +209,13 @@ def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
     ``np.argmin`` picks).  After each stage the kernel yields the rows'
     ``(f_lb, x_min, f(x_min))``; the next stage sets ``f_lb <- (1-gamma)*f_lb +
     gamma*f(x_min)`` and restarts from x_min.  It keeps nothing of the run: it
-    calls ``observer.step(t, x_t, f(x_t), f(x_{t-1/2}), sigma_{t-1})`` first at
-    t = 0 (with None for the last two) and after each step, once the step's
-    values are guarded; a restart's x_0 takes no iteration and is not observed.
-    The arrays it passes and yields are not written to afterwards.  Raises
-    DivergedError, naming iteration t, as soon as any row produces a non-finite
-    value/gradient or exceeds GUARD_LIMIT.
+    calls ``observer.step(t, x_t, f(x_t), f(x_{t-1/2}), sigma_{t-1}, g)`` first
+    at t = 0 (with None for the last three) and after each step, once the
+    step's values are guarded, with g = grad f(x_{t-1}) (grad f(x_min) in a
+    restart's first step) without the oracle's noise.  A restart's x_0 takes
+    no iteration and is not observed.  The arrays it passes and yields are not
+    written to afterwards.  Raises DivergedError, naming iteration t, as soon
+    as any row produces a non-finite value/gradient or exceeds GUARD_LIMIT.
     """
     x = np.array(x0, dtype=np.float64)
     m, d = x.shape
@@ -243,7 +245,7 @@ def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
         v = objective.value(x)
         _check_values(v, t0, trial_base)
         if not nu and observer is not None:
-            observer.step(0, x, v, None, None)
+            observer.step(0, x, v, None, None, None)
         x_min, v_min = x.copy(), v.copy()
         for t in range(t0, t0 + T):
             if cols and bpos == span:
@@ -252,9 +254,7 @@ def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
                 bpos = 0
             g = objective.gradient(x)
             _check_gradients(g, t, trial_base)
-            if draw_omega:
-                g = g + r * block[:, bpos, :d]
-            xh = x - eta * g
+            xh = x - eta * (g + r * block[:, bpos, :d] if draw_omega else g)
             vh = objective.value(xh)
             _check_values(vh, t, trial_base, HALF_VALUE)
             sig = np.sqrt(eta_s * np.maximum(vh - f_lb, 0.0))
@@ -266,7 +266,7 @@ def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
             v = objective.value(x)
             _check_values(v, t + 1, trial_base)
             if observer is not None:
-                observer.step(t + 1, x, v, vh, sig)
+                observer.step(t + 1, x, v, vh, sig, g)
             better = v < v_min
             if better.any():
                 np.copyto(v_min, v, where=better)

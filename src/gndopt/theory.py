@@ -105,6 +105,8 @@ def _require_certificate(alpha, L) -> None:
     require_finite(L=L)
     if not L >= alpha:
         raise ParameterError(f"L must be at least alpha, got L={L} < alpha={alpha}")
+    # The schedules divide by L^2: a square of 0 or inf would divide by 0 or give eta = 0.
+    require_positive(**{"alpha^2": alpha * alpha, "L^2": L * L})
 
 
 def _require_log_range(lo, hi) -> None:
@@ -126,6 +128,8 @@ def gnd_schedule(alpha: float, L: float, r: float, f_gap: float) -> Schedule:
     s = lam / (3.0 * L)
     eta_lam = eta * lam
     b = eta * r * r / lam + (5.0 * eta_lam + 14.0) / (42.0 * L) * f_gap
+    if not math.isfinite(b):
+        raise ParameterError(f"r and f_gap must keep b finite, got r={r}, f_gap={f_gap}")
     return Schedule(eta=eta, s=s, lam=lam, b=b, eta_lam=eta_lam)
 
 
@@ -192,7 +196,7 @@ def check_eta_constraint(eta: float, s: float, alpha: float, L: float,
     check degenerates to 2*alpha - eta*L^2 > 0).  ``s = 0`` with ``beta > 0``
     is indeterminate (the radical divides by zero) and raises.
     """
-    require_positive(alpha=alpha, L=L)
+    require_positive(alpha=alpha, L=L, **{"L^2": L * L})
     if not (0.0 < eta < 2.0 * alpha / (L * L)):
         raise ParameterError(f"eta must lie in (0, 2*alpha/L^2), got {eta}")
     require_nonnegative(s=s, beta=beta)
@@ -214,7 +218,11 @@ def nearly_convex_gate(alpha: float, L: float, d: int) -> float:
     """Admissible threshold (1/4) * sqrt(alpha^5 / (d * L^3)) for the surrogate deviation."""
     _require_certificate(alpha, L)
     require_integer(1, d=d)
-    return 0.25 * math.sqrt(alpha**5 / (d * L**3))
+    try:  # alpha^5 or L^3 may leave float range
+        return 0.25 * math.sqrt(alpha**5 / (d * L**3))
+    except (OverflowError, ZeroDivisionError):
+        raise ParameterError(f"alpha^5/(d*L^3) must lie in float range, got alpha={alpha}, "
+                             f"L={L}") from None
 
 
 def _grid_values(objective: Objective, grid,

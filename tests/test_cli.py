@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import re
 import string
@@ -107,6 +108,17 @@ class TestSchedule:
         assert code == 1
         assert "must be finite" in err
         assert out == ""
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--alpha", "1e-200", "--L", "1e-200"),
+         "alpha^2 must be positive, got 0.0"),
+        (("--alpha", "1e200", "--L", "1e200"),
+         "alpha^2 must be finite, got inf"),
+        (("--r", "1e200"), "r and f_gap must keep b finite, got r=1e+200, f_gap=0.0"),
+    ], ids=["square-underflow", "square-overflow", "b-overflow"])
+    def test_constants_beyond_float_range_are_exit_1(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "schedule", "--alpha", "1", "--L", "1", *flags)
+        assert (code, out, err) == (1, "", f"gndopt: {message}\n")
 
     def test_csv_sidecar(self, capsys, tmp_path):
         target = tmp_path / "sched.csv"
@@ -246,6 +258,14 @@ class TestStbound:
         pairs = dict(line.split("=") for line in out.strip().splitlines())
         assert float(pairs["empirical_p"]) >= float(pairs["analytic_bound"])
 
+    def test_stdout_bytes(self, capsys):
+        # The quadratic calls no transcendental ufunc, so these bytes do not depend
+        # on which SIMD kernels numpy dispatches to.
+        code, out, _ = run_cli(capsys, "stbound", "--ell", "25", "--M", "2000", "--r", "1",
+                               "--x0", "5")
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == "c40349124fa8351a4c552ea4cabcc9f1d22dfd01"
+
     @pytest.mark.parametrize("flag,bad", [
         ("--x0", "nan"), ("--x0", "inf"), ("--ell", "nan"), ("--ell", "inf"),
         ("--r", "inf"), ("--alpha", "inf"),
@@ -267,6 +287,11 @@ class TestStbound:
     def test_zero_dim_is_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "stbound", "--ell", "25", "--M", "5", "--d", "0")
         assert (code, out, err) == (1, "", "gndopt: dim must be a positive integer, got 0\n")
+
+    def test_alpha_square_underflow_is_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "stbound", "--ell", "25", "--M", "3", "--alpha", "1e-300")
+        assert (code, out) == (1, "")
+        assert err == "gndopt: alpha^2 must be positive, got 0.0\n"
 
 
 _BASE = '[objective]\nfunction = "j1"\nn = 7\nk = 1\n\n[experiment]\ntrials = 4\n'

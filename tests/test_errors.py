@@ -178,6 +178,25 @@ _Q = make_quadratic(1.0, 1)
                      RngStream(0, 0)), "eta must be finite, got a 1329-bit integer"),
     (lambda: gnd_run(_Q, SgOracle(_Q, 10**400), [1.0], _GND, RngStream(0, 0)),
      "r must be finite, got a 1329-bit integer"),
+    # a certificate whose constants leave float range: a square under- or overflows,
+    # or b, alpha^5 or L^3 does
+    (lambda: gnd_schedule(1e-200, 1e-200, 0.0, 0.0),
+     "alpha^2 must be positive, got 0.0"),
+    (lambda: gnd_schedule(1e200, 1e200, 0.0, 0.0),
+     "alpha^2 must be finite, got inf"),
+    (lambda: gnd_schedule(1.0, 1.0, 1e200, 0.0),
+     "r and f_gap must keep b finite, got r=1e+200, f_gap=0.0"),
+    (lambda: stopping_time_check(make_quadratic(1e-300, 1), r=1.0, ell=25.0, M=3, trials=5,
+                                 x0=[5.0], seed=0),
+     "alpha^2 must be positive, got 0.0"),
+    (lambda: nearly_convex_gate(1e200, 1e200, 1),
+     "alpha^2 must be finite, got inf"),
+    (lambda: nearly_convex_gate(1e100, 1e100, 1),
+     "alpha^5/(d*L^3) must lie in float range, got alpha=1e+100, L=1e+100"),
+    (lambda: nearly_convex_gate(1e-120, 1e-120, 1),
+     "alpha^5/(d*L^3) must lie in float range, got alpha=1e-120, L=1e-120"),
+    (lambda: check_eta_constraint(0.1, 0.5, 1.0, 1e-200, 0.0, 1),
+     "L^2 must be positive, got 0.0"),
 ], ids=["check_eta_constraint-s", "nearly_convex_gate-L", "GndConfig-T-nan", "GndConfig-T-inf",
         "ExperimentConfig-trials", "j1_stationary_points-n", "gnd_iteration_bound-y0_dist_sq",
         "stopping_time_check-M", "barrier_check-x_hat", "GndConfig-eta-zero", "GndConfig-s-nan",
@@ -192,7 +211,11 @@ _Q = make_quadratic(1.0, 1)
         "barrier_check-boundary_points", "RngStream-seed-huge-digits", "RngStream-index-huge",
         "ExperimentConfig-seed-huge", "stopping_time_check-seed-huge", "work-m-zero",
         "work-d-fraction", "work-r-negative", "work-r-nan", "make_quadratic-alpha-huge",
-        "make_rastrigin-a-huge", "gnd_schedule-alpha-huge", "gnd_run-eta-huge", "gnd_run-r-huge"])
+        "make_rastrigin-a-huge", "gnd_schedule-alpha-huge", "gnd_run-eta-huge", "gnd_run-r-huge",
+        "gnd_schedule-alpha-square-underflow", "gnd_schedule-alpha-square-overflow",
+        "gnd_schedule-b-overflow", "stopping_time_check-alpha-square-underflow",
+        "nearly_convex_gate-alpha-square-overflow", "nearly_convex_gate-alpha-power-overflow",
+        "nearly_convex_gate-L-power-underflow", "check_eta_constraint-L-square-underflow"])
 def test_library_probe_is_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import tracemalloc
 from collections import deque
@@ -178,12 +179,17 @@ class TestRunMonteCarlo:
 
 @pytest.mark.tracemalloc
 class TestMemory:
-    """Peak memory of an ensemble follows the row block, not the trial count or T."""
+    """Peak memory of an ensemble follows the row block, not the trial count or T.
+
+    Each traced run starts after a full collection: it empties the free lists,
+    and a collection that fell inside the run would count their refill there.
+    """
 
     @staticmethod
     def _peak(trials, algorithm=GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=200), r=0.0):
         rast = make_rastrigin(1.0, 1.0, 0.05, 10)
         cfg = _cfg(rast, algorithm, trials=trials, sg_noise_r=r, init_low=-5.0, init_high=5.0)
+        gc.collect()
         tracemalloc.start()
         try:
             run_monte_carlo(cfg)
@@ -233,6 +239,7 @@ class TestMemory:
 
     def _shadow_peak(self, check, M, trials=256):
         q = make_quadratic(1.0, 10)
+        gc.collect()
         tracemalloc.start()
         try:
             self.SHADOW[check](q, M, trials)
@@ -247,6 +254,7 @@ class TestMemory:
         assert 8 * rows * 20 * 60 >= sampling._DRAW_AHEAD_BYTES
 
         def peak(trials):
+            gc.collect()
             tracemalloc.start()
             try:
                 stopping_time_check(make_quadratic(1.0, 10), r=1.0, ell=25.0, M=60,
@@ -265,15 +273,9 @@ class TestMemory:
     def test_shadow_peak_per_added_trial(self, check, most):
         rows = experiments._CHUNK
 
-        def peak(trials):
-            # A full collection empties the free lists; one that fell inside a
-            # run would count their refill there.
-            gc.collect()
-            return self._shadow_peak(check, 60, trials)
-
-        peak(rows)  # first-call allocations
-        base = peak(rows)
-        assert (peak(8 * rows) - base) / (7 * rows) <= most
+        self._shadow_peak(check, 60, rows)  # first-call allocations
+        base = self._shadow_peak(check, 60, rows)
+        assert (self._shadow_peak(check, 60, 8 * rows) - base) / (7 * rows) <= most
 
     def test_stopping_time_peak_does_not_grow_with_iterations(self):
         assert 8 * 256 * 20 * 120 >= sampling._DRAW_AHEAD_BYTES
@@ -344,6 +346,14 @@ class TestContractionCheck:
         assert np.array_equal(rep.means, means)
         assert np.array_equal(rep.bounds, bounds)
         assert np.array_equal(rep.margins, bounds - means)
+
+    def test_report_bytes(self):
+        # The quadratic calls no transcendental ufunc, so these bytes do not depend
+        # on which SIMD kernels numpy dispatches to.
+        rep = contraction_check(make_quadratic(1.0, 10), r=0.5, trials=700,
+                                x0=np.full(10, 5.0), T=60, seed=3)
+        digest = hashlib.sha1(rep.means.tobytes() + rep.bounds.tobytes() + rep.margins.tobytes())
+        assert digest.hexdigest() == "896470a7b3a84ff5a03af72821e6c10a405af9ca"
 
     def test_t_zero_trivially_true(self):
         q = make_quadratic(1.0, 1)

@@ -11,9 +11,10 @@ from conftest import sequential_dlgnd, stacked_dlgnd
 from hypothesis import strategies as st
 
 from gndopt import (DivergedError, DlGndConfig, ExperimentConfig, GndConfig,
-                    ParameterError, RngStream, SgOracle, dlgnd_run, experiments, gd_run,
-                    gnd_run, j1_stationary_points, make_j1, make_quadratic, make_rastrigin,
-                    run_monte_carlo, sampling, solver, stopping_time_check)
+                    ParameterError, RngStream, SgOracle, contraction_check, dlgnd_run,
+                    experiments, gd_run, gnd_run, gnd_schedule, j1_stationary_points, make_j1,
+                    make_quadratic, make_rastrigin, run_monte_carlo, sampling, solver,
+                    stopping_time_check)
 from gndopt.cli import main
 from gndopt.experiments import _Fold
 from gndopt.solver import GUARD_LIMIT, _Recorder, _run_stages
@@ -218,10 +219,9 @@ class TestWorkPerRow:
     GD = GndConfig(eta=0.05, s=0.0, f_lb=0.0, T=7)
     DLGND = DlGndConfig(eta=0.1, s=0.5, f_lb0=-1.0, gamma=0.5, N=3, T1=4, T2=2)
 
-    @pytest.mark.parametrize("algorithm, r, trials", [(GND, 0.3, 6), (DLGND, 0.0, 6),
-                                                      (DLGND, 0.0, None), (GD, 0.0, 6)],
-                             ids=["gnd-ensemble", "dlgnd-ensemble", "dlgnd_run", "gd"])
-    def test_counts_equal_derived_counts(self, monkeypatch, algorithm, r, trials):
+    @staticmethod
+    def _counted(monkeypatch, objective):
+        """``objective`` with its rows counted, and the counts, which also take the draws."""
         counts = dict.fromkeys(["value", "gradient", "normals", "uniforms", "streams"], 0)
 
         def counting(name, fn, amount):
@@ -232,15 +232,21 @@ class TestWorkPerRow:
 
         rows = lambda x: len(x) if np.ndim(x) == 2 else 1
         draws = lambda rng, shape: int(np.prod(shape))
-        rast = make_rastrigin(1.0, 1.0, 0.05, 3)
-        obj = dataclasses.replace(rast, value=counting("value", rast.value, rows),
-                                  gradient=counting("gradient", rast.gradient, rows))
+        obj = dataclasses.replace(objective, value=counting("value", objective.value, rows),
+                                  gradient=counting("gradient", objective.gradient, rows))
         monkeypatch.setattr(RngStream, "normals", counting("normals", RngStream.normals, draws))
         monkeypatch.setattr(RngStream, "uniforms",
                             counting("uniforms", RngStream.uniforms, draws))
         monkeypatch.setattr(RngStream, "__init__",
                             counting("streams", RngStream.__init__, lambda *_: 1))
         monkeypatch.setattr(experiments, "_CHUNK", 4)  # two row blocks
+        return obj, counts
+
+    @pytest.mark.parametrize("algorithm, r, trials", [(GND, 0.3, 6), (DLGND, 0.0, 6),
+                                                      (DLGND, 0.0, None), (GD, 0.0, 6)],
+                             ids=["gnd-ensemble", "dlgnd-ensemble", "dlgnd_run", "gd"])
+    def test_counts_equal_derived_counts(self, monkeypatch, algorithm, r, trials):
+        obj, counts = self._counted(monkeypatch, make_rastrigin(1.0, 1.0, 0.05, 3))
         if trials is None:  # as the benchmark's dlgnd-single workload draws its start
             rng = RngStream(3, 0)
             dlgnd_run(obj, SgOracle(obj, r), -2.0 + 4.0 * rng.uniforms(obj.dim), algorithm, rng)
@@ -254,6 +260,27 @@ class TestWorkPerRow:
                           "gradient": m * sum(stages), "normals": m * sum(stages) * cols,
                           "uniforms": m * d, "streams": m}
         assert counts == algorithm.work(m, d, r)
+
+    # A shadow pass of M iterations is a GND run of M+1 from the given x0, so it
+    # draws no uniforms; contraction_check makes a second pass over the same streams.
+    @pytest.mark.parametrize("check, passes", [
+        (lambda q, M, m: stopping_time_check(q, r=1.0, ell=25.0, M=M, trials=m,
+                                             x0=np.full(3, 5.0), seed=3), 1),
+        (lambda q, M, m: contraction_check(q, r=1.0, trials=m, x0=np.full(3, 5.0), T=M,
+                                           seed=3), 2),
+    ], ids=["stopping_time_check", "contraction_check"])
+    def test_shadow_pass_counts_equal_a_gnd_run_of_one_more_iteration(self, monkeypatch,
+                                                                      check, passes):
+        m, M, d, r = 6, 10, 3, 1.0
+        q = make_quadratic(1.0, d)
+        obj, counts = self._counted(monkeypatch, q)
+        check(obj, M, m)
+        # per pass: m(2(M+1)+1) value rows, m(M+1) gradient rows, m(M+1)*2d normals
+        one_pass = {"value": 138, "gradient": 66, "normals": 396, "uniforms": 0, "streams": 6}
+        assert counts == {key: passes * n for key, n in one_pass.items()}
+        sched = gnd_schedule(*q.certificate, r, 0.0)
+        work = GndConfig(sched.eta, sched.s, q.min_value, T=M + 1).work(m, d, r)
+        assert counts == {key: passes * (0 if key == "uniforms" else n) for key, n in work.items()}
 
     @pytest.mark.parametrize("algorithm, m, d, want", [
         # j1-gnd: bench j1-112-2 --T 300
@@ -276,8 +303,7 @@ def _poisoned(objective, kind, call, bad):
     """``objective`` whose ``kind`` call number ``call`` (0-based) returns ``bad`` in rows 3 and up.
 
     Value calls come in the kernel's order: f(x_0), then per iteration t the
-    half-step value f(x_{t+1/2}) and f(x_{t+1}); gradient call t is grad f(x_t)
-    (unless the observer evaluates gradients too).
+    half-step value f(x_{t+1/2}) and f(x_{t+1}); gradient call t is grad f(x_t).
     """
     calls = [0]
     clean = getattr(objective, kind)
@@ -313,12 +339,14 @@ class TestDivergenceGuard:
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
         assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
 
-    # On the shadow path of M iterations, gradient call 2t is the shadow's grad f(x_t)
-    # and call 2t+1 the step's grad f(x_t): the fold sees x_0 before the first step.
+    # The shadow path of M iterations runs M+1 kernel iterations, the last for
+    # grad f(x_M), which the fold reads from the kernel: gradient call t is grad f(x_t),
+    # and value call 2M+1 is the extra iteration's f(x_{M+1/2}).
     @pytest.mark.parametrize("kind, call, M, quantity", [
-        ("gradient", 8, 4, "gradient"),  # at x_M
-        ("gradient", 0, 0, "gradient"),  # at x_0 of a run without steps
+        ("gradient", 4, 4, "gradient"),  # at x_M
+        ("gradient", 0, 0, "gradient"),  # at x_0 of a check with M = 0
         ("value", 0, 0, "value"),  # f(x_0) is guarded before its gradient
+        ("value", 9, 4, "half-step value"),  # f(x_{M+1/2})
     ])
     def test_shadow_path_names_trial_iteration_and_quantity(self, kind, call, M, quantity):
         q = _poisoned(make_quadratic(1.0, 1), kind, call, np.nan)
