@@ -12,6 +12,7 @@ than 64 bits by its bit length).  A value passes only by satisfying its range,
 so NaN fails every check.  A point (:func:`require_point`) may come in any shape
 that holds exactly ``dim`` numbers, all finite; else it fails as ``"{name} must
 have shape ({dim},), got {shape}"`` or names its first non-finite coordinate.
+:func:`require_certificate` is the one rule for a certificate ``(alpha, L)``.
 """
 
 import math
@@ -85,6 +86,14 @@ def _require(params, holds, wording, whole=False) -> None:
 def require_positive(**params) -> None:
     """Raise ParameterError naming the first parameter that is not finite and > 0."""
     _require(params, lambda v: v > 0, "be positive")
+
+
+def require_certificate(alpha, L) -> None:
+    """Raise ParameterError unless alpha is finite and > 0 and L is finite and >= alpha."""
+    require_positive(alpha=alpha)
+    require_finite(L=L)
+    if not L >= alpha:
+        raise ParameterError(f"L must be at least alpha, got L={L} < alpha={alpha}")
 
 
 def require_nonnegative(**params) -> None:

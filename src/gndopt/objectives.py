@@ -27,8 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from gndopt.errors import (ParameterError, require_integer, require_point, require_positive,
-                           require_unit_interval)
+from gndopt.errors import (ParameterError, require_certificate, require_integer, require_point,
+                           require_positive, require_unit_interval)
 
 Array = np.ndarray
 
@@ -48,9 +48,7 @@ class Objective:
     def __post_init__(self):
         self.minimizer.setflags(write=False)
         if self.certificate is not None:
-            alpha, big_l = self.certificate
-            if not (0.0 < alpha <= big_l):
-                raise ParameterError(f"certificate must satisfy 0 < alpha <= L, got {self.certificate}")
+            require_certificate(*self.certificate)
 
 
 def fourier_sin_coefficients(n: int) -> Array:

@@ -30,9 +30,9 @@ from typing import Optional
 import numpy as np
 
 from gndopt.errors import (ConstraintNotCheckableError, GateViolationError, ParameterError,
-                           require_finite, require_integer, require_nonnegative,
-                           require_point, require_positive, require_uint64,
-                           require_unit_interval)
+                           require_certificate, require_finite, require_integer,
+                           require_nonnegative, require_point, require_positive,
+                           require_uint64, require_unit_interval)
 from gndopt.objectives import Objective, make_j2
 from gndopt.sampling import RngStream
 
@@ -100,15 +100,6 @@ class ConditionCheck:
     parameter: Optional[float | tuple[float, float]]
 
 
-def _require_certificate(alpha, L) -> None:
-    require_positive(alpha=alpha)
-    require_finite(L=L)
-    if not L >= alpha:
-        raise ParameterError(f"L must be at least alpha, got L={L} < alpha={alpha}")
-    # The schedules divide by L^2: a square of 0 or inf would divide by 0 or give eta = 0.
-    require_positive(**{"alpha^2": alpha * alpha, "L^2": L * L})
-
-
 def _require_log_range(lo, hi) -> None:
     require_finite(lo=lo, hi=hi)
     if not 0.0 < lo < hi:
@@ -121,12 +112,16 @@ def gnd_schedule(alpha: float, L: float, r: float, f_gap: float) -> Schedule:
     ``f_gap = f* - f_lb >= 0`` is the lower-bound slack the run will operate
     with; together with the oracle deviation r it determines b.
     """
-    _require_certificate(alpha, L)
+    require_certificate(alpha, L)
+    # eta divides by L^2: a square of 0 or inf would divide by 0 or give eta = 0.
+    require_positive(**{"alpha^2": alpha * alpha, "L^2": L * L})
     require_nonnegative(r=r, f_gap=f_gap)
     eta = 2.0 * alpha / (5.0 * L * L)
     lam = 2.0 * alpha - eta * L * L
     s = lam / (3.0 * L)
     eta_lam = eta * lam
+    if not eta_lam > 0.0:  # 16*alpha^2/(25*L^2) underflows when alpha is far below L
+        raise ParameterError(f"alpha and L must keep eta*lambda positive, got alpha={alpha}, L={L}")
     b = eta * r * r / lam + (5.0 * eta_lam + 14.0) / (42.0 * L) * f_gap
     if not math.isfinite(b):
         raise ParameterError(f"r and f_gap must keep b finite, got r={r}, f_gap={f_gap}")
@@ -148,10 +143,14 @@ def gnd_iteration_bound(sched: Schedule, y0_dist_sq: float, zeta: float,
         if eps is None:
             raise ParameterError("eps must be positive when b = 0, got None")
         require_positive(eps=eps)
-        t = 100.0 / sched.eta_lam * math.log(y0_dist_sq / (zeta * eps))
+        scale, floor = 100.0, zeta * eps
     else:
-        t = 200.0 / sched.eta_lam * math.log(y0_dist_sq / (100.0 * sched.b * zeta))
-    return max(0, math.ceil(t))
+        scale, floor = 200.0, 100.0 * sched.b * zeta
+    try:  # the log's argument or the bound may leave float range
+        return max(0, math.ceil(scale / sched.eta_lam * math.log(y0_dist_sq / floor)))
+    except (ArithmeticError, ValueError):
+        raise ParameterError(f"the iteration bound must be finite, got y0_dist_sq={y0_dist_sq}, "
+                             f"zeta={zeta}, eps={eps}, b={sched.b}, eta_lam={sched.eta_lam}") from None
 
 
 def dlgnd_schedule(alpha: float, L: float, r: float, eps: float, zeta: float,
@@ -161,7 +160,7 @@ def dlgnd_schedule(alpha: float, L: float, r: float, eps: float, zeta: float,
     ``f_gap0 = f* - f_lb^0 > 0`` is the initial lower-bound slack and ``beta``
     the (upper-bounded) surrogate deviation, which must stay below alpha.
     """
-    require_finite(alpha=alpha, L=L, r=r)
+    require_certificate(alpha, L)
     require_nonnegative(beta=beta)
     if beta >= alpha:
         raise GateViolationError(f"beta must stay below alpha, got beta={beta} >= alpha={alpha}")
@@ -174,13 +173,18 @@ def dlgnd_schedule(alpha: float, L: float, r: float, eps: float, zeta: float,
     b_eps = gnd_schedule(alpha, L, r, eps).b
     eta, lam, eta_lam = base.eta, base.lam, base.eta_lam
     shrink = (1.0 - eta * L) ** 2
-    gamma = shrink * eps / (shrink * eps + 100.0 * L * b_eps)
-
-    n_outer = max(1, math.ceil(math.log((1.0 - gamma) + gamma * f_gap0 / eps) / gamma))
-    zeta_prime = zeta / (n_outer + 1)
-    t1 = max(1, gnd_iteration_bound(base, y0_dist_sq, zeta_prime))
-    t2_arg = 2.0 * (1.0 + eta * L) ** 2 * L * b0 / (shrink * (alpha - beta) * b_eps * zeta_prime)
-    t2 = max(1, math.ceil(200.0 / eta_lam * math.log(t2_arg)))
+    try:  # gamma, N, T1 or T2 may leave float range (a ParameterError is a ValueError)
+        gamma = shrink * eps / (shrink * eps + 100.0 * L * b_eps)
+        n_outer = max(1, math.ceil(math.log((1.0 - gamma) + gamma * f_gap0 / eps) / gamma))
+        zeta_prime = zeta / (n_outer + 1)
+        t1 = max(1, gnd_iteration_bound(base, y0_dist_sq, zeta_prime))
+        t2_arg = (2.0 * (1.0 + eta * L) ** 2 * L * b0
+                  / (shrink * (alpha - beta) * b_eps * zeta_prime))
+        t2 = max(1, math.ceil(200.0 / eta_lam * math.log(t2_arg)))
+    except (ArithmeticError, ValueError):
+        raise ParameterError(f"the double-loop counts must be finite, got alpha={alpha}, L={L}, "
+                             f"r={r}, eps={eps}, zeta={zeta}, f_gap0={f_gap0}, "
+                             f"y0_dist_sq={y0_dist_sq}, beta={beta}") from None
     return DoubleLoopSchedule(b0=b0, b_eps=b_eps, gamma=gamma, N=n_outer,
                               T1=t1, T2=t2, zeta_prime=zeta_prime)
 
@@ -196,11 +200,13 @@ def check_eta_constraint(eta: float, s: float, alpha: float, L: float,
     check degenerates to 2*alpha - eta*L^2 > 0).  ``s = 0`` with ``beta > 0``
     is indeterminate (the radical divides by zero) and raises.
     """
-    require_positive(alpha=alpha, L=L, **{"L^2": L * L})
+    require_certificate(alpha, L)
+    require_positive(**{"L^2": L * L})
     if not (0.0 < eta < 2.0 * alpha / (L * L)):
         raise ParameterError(f"eta must lie in (0, 2*alpha/L^2), got {eta}")
     require_nonnegative(s=s, beta=beta)
     require_integer(1, d=d)
+    require_finite(d=d)
     rhs = 2.0 * alpha - eta * L * L - s * L / 2.0
     if beta == 0.0:
         return rhs > 0.0 if s == 0.0 else rhs >= 0.0
@@ -208,21 +214,20 @@ def check_eta_constraint(eta: float, s: float, alpha: float, L: float,
         raise ConstraintNotCheckableError("s = 0 with beta > 0: the feasibility radical is undefined")
     if beta >= alpha:
         return False
-    lhs = (beta * math.sqrt(2.0 * d)
-           * (math.sqrt(2.0 / (math.pi * eta * s * (alpha - beta))) + 1.0)
-           * (1.0 + eta * s * L))
+    den = math.pi * eta * s * (alpha - beta)  # the radical's; it may underflow to 0
+    if not den > 0.0:
+        raise ParameterError(f"eta*s*(alpha - beta) must be positive, got eta={eta}, s={s}, "
+                             f"alpha={alpha}, beta={beta}")
+    lhs = beta * math.sqrt(2.0 * d) * (math.sqrt(2.0 / den) + 1.0) * (1.0 + eta * s * L)
     return lhs <= rhs
 
 
 def nearly_convex_gate(alpha: float, L: float, d: int) -> float:
-    """Admissible threshold (1/4) * sqrt(alpha^5 / (d * L^3)) for the surrogate deviation."""
-    _require_certificate(alpha, L)
+    """Surrogate-deviation threshold (1/4)*sqrt(alpha^5/(d*L^3)), as alpha/4*(alpha/L)^1.5/sqrt(d)."""
+    require_certificate(alpha, L)
     require_integer(1, d=d)
-    try:  # alpha^5 or L^3 may leave float range
-        return 0.25 * math.sqrt(alpha**5 / (d * L**3))
-    except (OverflowError, ZeroDivisionError):
-        raise ParameterError(f"alpha^5/(d*L^3) must lie in float range, got alpha={alpha}, "
-                             f"L={L}") from None
+    require_finite(d=d)
+    return 0.25 * alpha * (alpha / L) ** 1.5 / math.sqrt(d)
 
 
 def _grid_values(objective: Objective, grid,
@@ -258,13 +263,14 @@ def estimate_beta_quadratic(objective: Objective, alpha: float, grid) -> float:
 
 
 def _certified(objective: Objective, alpha, L) -> tuple[float, float]:
-    """``(alpha, L)``, each defaulting to the objective's certificate when None."""
+    """``(alpha, L)``, each defaulting to the objective's certificate when None, checked as one."""
     if alpha is None or L is None:
         if objective.certificate is None:
             raise ParameterError("alpha and L are required when the objective has no certificate")
         cert_alpha, cert_l = objective.certificate
         alpha = cert_alpha if alpha is None else alpha
         L = cert_l if L is None else L
+    require_certificate(alpha, L)
     return alpha, L
 
 

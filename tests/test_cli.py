@@ -115,7 +115,16 @@ class TestSchedule:
         (("--alpha", "1e200", "--L", "1e200"),
          "alpha^2 must be finite, got inf"),
         (("--r", "1e200"), "r and f_gap must keep b finite, got r=1e+200, f_gap=0.0"),
-    ], ids=["square-underflow", "square-overflow", "b-overflow"])
+        (("--alpha", "1e-150", "--L", "1e150"),
+         "alpha and L must keep eta*lambda positive, got alpha=1e-150, L=1e+150"),
+        (("--alpha", "1e-150", "--L", "1e5", "--eps", "0.01", "--fgap0", "1"),
+         "the double-loop counts must be finite, got alpha=1e-150, L=100000.0, r=0.0, "
+         "eps=0.01, zeta=0.05, f_gap0=1.0, y0_dist_sq=1.0, beta=0.0"),
+        (("--eps", "1e-300", "--fgap0", "1e300"),
+         "the double-loop counts must be finite, got alpha=1.0, L=1.0, r=0.0, eps=1e-300, "
+         "zeta=0.05, f_gap0=1e+300, y0_dist_sq=1.0, beta=0.0"),
+    ], ids=["square-underflow", "square-overflow", "b-overflow", "eta-lambda-underflow",
+            "T1-overflow", "N-overflow"])
     def test_constants_beyond_float_range_are_exit_1(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "schedule", "--alpha", "1", "--L", "1", *flags)
         assert (code, out, err) == (1, "", f"gndopt: {message}\n")
@@ -183,6 +192,20 @@ class TestCheck:
                                  "--b", "1", "--c", "0.05", "--d", d, *given)
         assert (code, out) == (1, "")
         assert err == "gndopt: alpha and L are required when the objective has no certificate\n"
+
+    @pytest.mark.parametrize("given,message", [
+        (["--L", "nan"], "L must be finite, got nan"),
+        (["--L", "0.5"], "L must be at least alpha, got L=0.5 < alpha=0.84"),
+        (["--alpha", "2"], "L must be at least alpha, got L=1.0 < alpha=2.0"),
+    ], ids=["L-nan", "L-below-alpha", "alpha-above-L"])
+    def test_bad_certificate_flag_fails_before_the_grid(self, capsys, monkeypatch, given,
+                                                        message):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(cli, "symmetric_log_grid", no_grid)
+        code, out, err = run_cli(capsys, "check", "--function", "j1", "--n", "112", "--k", "2",
+                                 *given)
+        assert (code, out, err) == (1, "", f"gndopt: {message}\n")
 
     def test_fewest_grid_points(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--function", "quadratic", "--grid-points", "4")
@@ -452,6 +475,14 @@ class TestBench:
         assert code == 0
         assert err.splitlines()[0] == ("running j1-7-1-gnd: trials=6 iterations=4 work: "
                                        "value=54 gradient=24 normals=24 uniforms=6 streams=6")
+
+    def test_divergence_is_exit_3_and_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "bench", "j1-7-1", "--eta", "3", "--s", "0",
+                                    "--trials", "3", "--T", "200", "--quiet", "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == "gndopt: trajectory diverged at trial 1, iteration 19 (half-step value)\n"
+        assert not out.exists()
 
     def test_repeat_identical_and_worker_invariant(self, capsys, tmp_path):
         outs = []

@@ -6,12 +6,12 @@ import pytest
 
 import numpy as np
 
-from gndopt import (DlGndConfig, ExperimentConfig, GndConfig, ParameterError, RngStream,
-                    SgOracle, barrier_check, check_eta_constraint, contraction_check, dlgnd_run,
-                    estimate_beta_quadratic, gnd_iteration_bound, gnd_run, gnd_schedule,
-                    j1_stationary_points, make_objective, make_quadratic, make_rastrigin,
-                    nearly_convex_gate, regularity_constants_grid, run_monte_carlo,
-                    stopping_time_check)
+from gndopt import (DlGndConfig, ExperimentConfig, GndConfig, Objective, ParameterError,
+                    RngStream, SgOracle, barrier_check, check_eta_constraint, contraction_check,
+                    dlgnd_run, dlgnd_schedule, estimate_beta_quadratic, gnd_iteration_bound,
+                    gnd_run, gnd_schedule, j1_stationary_points, make_objective, make_quadratic,
+                    make_rastrigin, nearly_convex_gate, regularity_constants_grid,
+                    run_monte_carlo, stopping_time_check)
 from gndopt.errors import (require_finite, require_integer, require_nonnegative, require_point,
                            require_positive, require_uint64, require_unit_interval)
 
@@ -178,8 +178,7 @@ _Q = make_quadratic(1.0, 1)
                      RngStream(0, 0)), "eta must be finite, got a 1329-bit integer"),
     (lambda: gnd_run(_Q, SgOracle(_Q, 10**400), [1.0], _GND, RngStream(0, 0)),
      "r must be finite, got a 1329-bit integer"),
-    # a certificate whose constants leave float range: a square under- or overflows,
-    # or b, alpha^5 or L^3 does
+    # a certificate whose constants leave float range: a square under- or overflows, or b does
     (lambda: gnd_schedule(1e-200, 1e-200, 0.0, 0.0),
      "alpha^2 must be positive, got 0.0"),
     (lambda: gnd_schedule(1e200, 1e200, 0.0, 0.0),
@@ -189,14 +188,37 @@ _Q = make_quadratic(1.0, 1)
     (lambda: stopping_time_check(make_quadratic(1e-300, 1), r=1.0, ell=25.0, M=3, trials=5,
                                  x0=[5.0], seed=0),
      "alpha^2 must be positive, got 0.0"),
-    (lambda: nearly_convex_gate(1e200, 1e200, 1),
-     "alpha^2 must be finite, got inf"),
-    (lambda: nearly_convex_gate(1e100, 1e100, 1),
-     "alpha^5/(d*L^3) must lie in float range, got alpha=1e+100, L=1e+100"),
-    (lambda: nearly_convex_gate(1e-120, 1e-120, 1),
-     "alpha^5/(d*L^3) must lie in float range, got alpha=1e-120, L=1e-120"),
-    (lambda: check_eta_constraint(0.1, 0.5, 1.0, 1e-200, 0.0, 1),
+    (lambda: check_eta_constraint(0.1, 0.5, 1e-200, 1e-200, 0.0, 1),
      "L^2 must be positive, got 0.0"),
+    # a certificate out of order, or whose derived constants leave float range
+    (lambda: Objective("q", 1, abs, abs, np.zeros(1), 0.0, certificate=(1.0, math.inf)),
+     "L must be finite, got inf"),
+    (lambda: check_eta_constraint(0.1, 0.5, 2.0, 1.0, 0.0, 1),
+     "L must be at least alpha, got L=1.0 < alpha=2.0"),
+    (lambda: gnd_schedule(1e-150, 1e150, 0.0, 0.0),
+     "alpha and L must keep eta*lambda positive, got alpha=1e-150, L=1e+150"),
+    (lambda: gnd_iteration_bound(gnd_schedule(1e-150, 1e150, 0.0, 0.0), 1.0, 0.5, 1e-3),
+     "alpha and L must keep eta*lambda positive, got alpha=1e-150, L=1e+150"),
+    (lambda: gnd_iteration_bound(gnd_schedule(1.0, 1.0, 1e154, 0.0), 1.0, 0.5),
+     "the iteration bound must be finite, got y0_dist_sq=1.0, zeta=0.5, eps=None, b=2.5e+307, "
+     "eta_lam=0.6400000000000001"),
+    (lambda: gnd_iteration_bound(gnd_schedule(1.0, 1.0, 0.0, 0.0), 1e300, 0.5, 1e-300),
+     "the iteration bound must be finite, got y0_dist_sq=1e+300, zeta=0.5, eps=1e-300, b=0.0, "
+     "eta_lam=0.6400000000000001"),
+    (lambda: dlgnd_schedule(1.0, 1.0, 1e154, 0.01, 0.05, 1.0, 1.0, 0.0),
+     "the double-loop counts must be finite, got alpha=1.0, L=1.0, r=1e+154, eps=0.01, "
+     "zeta=0.05, f_gap0=1.0, y0_dist_sq=1.0, beta=0.0"),
+    (lambda: dlgnd_schedule(1e-150, 1e5, 0.0, 0.01, 0.05, 1.0, 1.0, 0.0),
+     "the double-loop counts must be finite, got alpha=1e-150, L=100000.0, r=0.0, eps=0.01, "
+     "zeta=0.05, f_gap0=1.0, y0_dist_sq=1.0, beta=0.0"),
+    (lambda: dlgnd_schedule(1.0, 1.0, 0.0, 1e-300, 0.05, 1e300, 1.0, 0.0),
+     "the double-loop counts must be finite, got alpha=1.0, L=1.0, r=0.0, eps=1e-300, "
+     "zeta=0.05, f_gap0=1e+300, y0_dist_sq=1.0, beta=0.0"),
+    (lambda: check_eta_constraint(1e-200, 1e-200, 1.0, 1.0, 0.5, 1),
+     "eta*s*(alpha - beta) must be positive, got eta=1e-200, s=1e-200, alpha=1.0, beta=0.5"),
+    (lambda: check_eta_constraint(0.1, 0.5, 1.0, 1.0, 0.2, 10**400),
+     "d must be finite, got a 1329-bit integer"),
+    (lambda: nearly_convex_gate(1.0, 1.0, 10**400), "d must be finite, got a 1329-bit integer"),
 ], ids=["check_eta_constraint-s", "nearly_convex_gate-L", "GndConfig-T-nan", "GndConfig-T-inf",
         "ExperimentConfig-trials", "j1_stationary_points-n", "gnd_iteration_bound-y0_dist_sq",
         "stopping_time_check-M", "barrier_check-x_hat", "GndConfig-eta-zero", "GndConfig-s-nan",
@@ -214,8 +236,13 @@ _Q = make_quadratic(1.0, 1)
         "make_rastrigin-a-huge", "gnd_schedule-alpha-huge", "gnd_run-eta-huge", "gnd_run-r-huge",
         "gnd_schedule-alpha-square-underflow", "gnd_schedule-alpha-square-overflow",
         "gnd_schedule-b-overflow", "stopping_time_check-alpha-square-underflow",
-        "nearly_convex_gate-alpha-square-overflow", "nearly_convex_gate-alpha-power-overflow",
-        "nearly_convex_gate-L-power-underflow", "check_eta_constraint-L-square-underflow"])
+        "check_eta_constraint-L-square-underflow", "Objective-L-inf",
+        "check_eta_constraint-L-below-alpha", "gnd_schedule-eta-lambda-underflow",
+        "gnd_iteration_bound-eta-lambda-underflow", "gnd_iteration_bound-b-floor-overflow",
+        "gnd_iteration_bound-ratio-overflow", "dlgnd_schedule-gamma-underflow",
+        "dlgnd_schedule-T1-overflow", "dlgnd_schedule-N-overflow",
+        "check_eta_constraint-radical-underflow", "check_eta_constraint-d-huge",
+        "nearly_convex_gate-d-huge"])
 def test_library_probe_is_parameter_error(call, message):
     with pytest.raises(ParameterError) as err:
         call()

@@ -143,10 +143,58 @@ class TestNearlyConvexGate:
         assert nearly_convex_gate(1.0, 1.0, 1) == 0.25
 
     def test_fractional_alpha(self):
-        assert nearly_convex_gate(21.0 / 25.0, 1.0, 1) == pytest.approx(0.25 * 0.84**2.5, rel=1e-12)
+        assert nearly_convex_gate(21.0 / 25.0, 1.0, 1) == pytest.approx(0.25 * 0.84**2.5, rel=1e-15)
 
     def test_dimension_scaling(self):
         assert nearly_convex_gate(1.0, 1.0, 4) == 0.125
+
+    # alpha^2, alpha^5 or L^3 of these certificates leaves float range; the gate does not
+    @pytest.mark.parametrize("alpha,gate", [(1e200, 2.5e199), (1e100, 2.5e99), (1e-120, 2.5e-121)],
+                             ids=["alpha-square-overflow", "alpha-power-overflow",
+                                  "L-power-underflow"])
+    def test_certificate_far_from_one(self, alpha, gate):
+        assert nearly_convex_gate(alpha, alpha, 1) == pytest.approx(gate, rel=1e-15)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+_POSITIVE = _log_uniform(-323.0, 308.0)
+_NONNEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
+
+
+def _or_none(call):
+    try:
+        return call()
+    except ParameterError:
+        return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(alpha=_POSITIVE, ratio=_log_uniform(0.0, 308.0), r=_NONNEGATIVE, f_gap=_NONNEGATIVE,
+       eps=_POSITIVE, zeta=_log_uniform(-323.0, -1e-9), f_gap0=_POSITIVE, y0=_POSITIVE,
+       beta=_NONNEGATIVE, share=_log_uniform(-323.0, -1e-9), s=_NONNEGATIVE,
+       d=st.integers(1, 2**31))
+def test_theory_gives_finite_values_or_parameter_error(alpha, ratio, r, f_gap, eps, zeta,
+                                                       f_gap0, y0, beta, share, s, d):
+    # Every input is drawn across float range; a theory function either returns finite
+    # values or rejects its inputs.  eta is a share of its bound 2*alpha/L^2.
+    L = alpha * ratio
+    sched = _or_none(lambda: gnd_schedule(alpha, L, r, f_gap))
+    if sched is not None:
+        assert min(sched.eta, sched.s, sched.lam, sched.eta_lam) > 0.0
+        assert math.isfinite(max(sched.eta, sched.s, sched.lam, sched.b)) and sched.b >= 0.0
+        count = _or_none(lambda: gnd_iteration_bound(sched, y0, zeta, eps))
+        assert count is None or count >= 0
+    dl = _or_none(lambda: dlgnd_schedule(alpha, L, r, eps, zeta, f_gap0, y0, beta))
+    if dl is not None:
+        assert math.isfinite(max(dl.b0, dl.b_eps, dl.gamma, dl.zeta_prime))
+        assert min(dl.N, dl.T1, dl.T2) >= 0
+    eta = share * (2.0 * alpha / (L * L) if 0.0 < L * L < math.inf else 1.0)
+    assert _or_none(lambda: check_eta_constraint(eta, s, alpha, L, beta, d)) in (None, True, False)
+    gate = _or_none(lambda: nearly_convex_gate(alpha, L, d))
+    assert gate is None or 0.0 <= gate < math.inf
 
 
 class TestBetaEstimate:
