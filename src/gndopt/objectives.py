@@ -284,15 +284,19 @@ def make_rastrigin(a: float, b: float, c: float, dim: int) -> Objective:
     require_positive(a=a, b=b, c=c)
     require_integer(1, dim=dim)
     a, b, c, dim = float(a), float(b), float(c), int(dim)
+    # a * b and 2 * c are formed first, as the formulas read left to right.  A
+    # factor of exactly 1.0 is skipped: y * 1.0 is y bit for bit in IEEE 754.
+    ab, c2 = a * b, 2.0 * c
 
     def value(x):
         x = np.asarray(x, dtype=np.float64)
-        return _scalarize(a * (dim - np.add.reduce(np.cos(b * x), axis=-1))
-                          + c * np.add.reduce(x * x, axis=-1))
+        wave = dim - np.add.reduce(np.cos(x if b == 1.0 else b * x), axis=-1)
+        return _scalarize((wave if a == 1.0 else a * wave) + c * np.add.reduce(x * x, axis=-1))
 
     def gradient(x):
         x = np.asarray(x, dtype=np.float64)
-        return a * b * np.sin(b * x) + 2.0 * c * x
+        wave = np.sin(x if b == 1.0 else b * x)
+        return (wave if ab == 1.0 else ab * wave) + c2 * x
 
     return Objective(
         name="rastrigin", dim=dim, value=value, gradient=gradient,

@@ -28,6 +28,13 @@ T1 + (nu-1)*T2.  The kernel keeps nothing but each row's best point of the
 stage: it hands x_0, and each step's iterate with the gradient at the step's
 start, to one observer, which records the run (``gnd_run``) or folds ensemble
 statistics (``gndopt.experiments``) and evaluates no gradient of its own.
+
+The divergence guard fails a value of magnitude above ``GUARD_LIMIT``, a
+gradient row of norm above it, and anything non-finite.  It screens each block
+of at most 10 000 numbers first: one dot product, a sum of squares of at most
+``GUARD_LIMIT**2 / 4``, passes the block.  Only a block the screen does not pass
+gets the exact row scan, which alone decides whether to raise and which row to
+name.
 """
 
 from __future__ import annotations
@@ -162,10 +169,25 @@ class DlGndTrace:
 
 
 _GUARD_LIMIT_SQ = GUARD_LIMIT**2
+# A block whose sum of squares is at most a quarter of GUARD_LIMIT**2 has every
+# entry and every row norm within GUARD_LIMIT / 2 up to rounding, so the screen
+# passes only blocks that the exact scan passes row by row.  BLAS threads dot
+# products above about 10 000 elements; larger blocks go to the exact scan alone.
+_SCREEN_SQ = _GUARD_LIMIT_SQ / 4
+_SCREEN_MOST = 10_000
 
 # Quantities named by DivergedError: f(x_t) at the reported iteration t, the
 # half-step value f(x_{t+1/2}) of iteration t, and grad f(x_t).
 VALUE, HALF_VALUE, GRADIENT = "value", "half-step value", "gradient"
+
+
+def _screened(a):
+    """Whether one dot product proves every row of block ``a`` inside GUARD_LIMIT.
+
+    NaN, +-inf and overflowing squares make the sum NaN or inf, which fails the
+    comparison; a large but legal block fails it too, and goes to the exact scan.
+    """
+    return a.size <= _SCREEN_MOST and np.vdot(a, a) <= _SCREEN_SQ
 
 
 def _diverged(ok, t, base, quantity):
@@ -175,14 +197,20 @@ def _diverged(ok, t, base, quantity):
 
 
 def _check_values(v, t, base, quantity=VALUE):
+    if _screened(v):
+        return
     # NaN propagates through the max and fails the comparison, as do +-inf.
     if not np.maximum.reduce(np.abs(v)) <= GUARD_LIMIT:
         _diverged(np.abs(v) <= GUARD_LIMIT, t, base, quantity)
 
 
 def _check_gradients(g, t, base):
-    # A non-finite component makes its row's squared norm inf or NaN.
-    norm2 = np.add.reduce(g * g, axis=-1)
+    if _screened(g):
+        return
+    # A non-finite component makes its row's squared norm inf or NaN, and so does
+    # a finite component whose square overflows.
+    with np.errstate(over="ignore"):
+        norm2 = np.add.reduce(g * g, axis=-1)
     if not np.maximum.reduce(norm2) <= _GUARD_LIMIT_SQ:
         _diverged(norm2 <= _GUARD_LIMIT_SQ, t, base, GRADIENT)
 

@@ -274,6 +274,20 @@ class TestRastrigin:
     def test_no_certificate(self):
         assert make_rastrigin(1.0, 1.0, 0.05, 10).certificate is None
 
+    # (2, 0.5) has a * b == 1 with a != 1; the factory skips factors that are exactly 1.
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5), (3.0, 2.0)])
+    def test_bitwise_the_literal_formulas(self, a, b):
+        c, dim = 0.05, 3
+        r = make_rastrigin(a, b, c, dim)
+        rng = np.random.default_rng(5)
+        batch = rng.uniform(-6.0, 6.0, size=(4, dim))
+        batch[1] = [0.0, -0.0, 2.5]
+        for x in (np.array([-0.0, 1.25, 0.0]), rng.uniform(-6.0, 6.0, size=dim), batch):
+            value = a * (dim - np.add.reduce(np.cos(b * x), axis=-1)) + c * np.add.reduce(x * x, axis=-1)
+            gradient = a * b * np.sin(b * x) + 2.0 * c * x
+            assert np.asarray(r.value(x)).tobytes() == np.asarray(value).tobytes()
+            assert r.gradient(x).tobytes() == gradient.tobytes()
+
 
 def _suite():
     return [

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from collections import deque
 from pathlib import Path
 
@@ -326,6 +327,8 @@ class TestDivergenceGuard:
         ("gradient", 4, [1.0, -np.inf], 4, "gradient"),
         # finite components below GUARD_LIMIT, squared row norm 1.62 * GUARD_LIMIT**2
         ("gradient", 2, [0.9 * GUARD_LIMIT, -0.9 * GUARD_LIMIT], 2, "gradient"),
+        # a finite component whose square overflows
+        ("gradient", 3, [1.0, 1e200], 3, "gradient"),
     ])
     def test_names_first_failing_row_iteration_and_quantity(self, kind, call, bad, iteration,
                                                             quantity):
@@ -338,6 +341,44 @@ class TestDivergenceGuard:
             _run_batch(q, 0.3, x0s, cfg, rngs, fold, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
         assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
+
+    # Each block fails the one-dot-product screen (or is too large for it), and the
+    # exact row scan passes it.
+    @pytest.mark.parametrize("check, block", [
+        (solver._check_values, np.full(5, 0.9 * GUARD_LIMIT)),
+        (solver._check_values, np.array([1.0, GUARD_LIMIT, -GUARD_LIMIT])),
+        (solver._check_gradients, np.full((5, 2), 0.5 * GUARD_LIMIT)),  # row norm^2 0.5*LIMIT^2
+        (solver._check_gradients, np.array([[GUARD_LIMIT, 0.0], [0.0, -GUARD_LIMIT]])),
+        (solver._check_gradients, np.full((512, 40), 1e3)),
+    ])
+    def test_legal_block_that_fails_the_screen_passes(self, check, block):
+        check(block, 4, 40)
+
+    @pytest.mark.parametrize("check, block, trial, quantity", [
+        (solver._check_values, np.array([1.0, np.nextafter(GUARD_LIMIT, np.inf)]), 41, "value"),
+        (solver._check_values, np.array([1.0, 2.0, -1e200]), 42, "value"),
+        (solver._check_gradients, np.array([[1.0, 1e200]]), 40, "gradient"),
+        (solver._check_gradients, np.array([[1.0, 2.0], [np.inf, 0.0], [np.nan, 0.0]]), 41,
+         "gradient"),
+        (solver._check_gradients, np.where(np.arange(512)[:, None] >= 300, np.nan, np.ones(40)),
+         340, "gradient"),
+    ])
+    def test_failing_block_names_its_first_row_without_a_warning(self, check, block, trial,
+                                                                 quantity):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError) as err:
+                check(block, 4, 40)
+        assert (err.value.trial, err.value.iteration, err.value.quantity) == (trial, 4, quantity)
+
+    def test_screen_dots_at_most_10000_elements(self, monkeypatch):
+        sizes = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda a, b: sizes.append(a.size) or vdot(a, b))
+        solver._check_gradients(np.ones((512, 40)), 0, None)
+        solver._check_gradients(np.ones((512, 10)), 0, None)
+        solver._check_values(np.ones(512), 0, None)
+        assert sizes == [5120, 512]
 
     # The shadow path of M iterations runs M+1 kernel iterations, the last for
     # grad f(x_M), which the fold reads from the kernel: gradient call t is grad f(x_t),
