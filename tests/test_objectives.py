@@ -289,6 +289,26 @@ class TestRastrigin:
             assert r.gradient(x).tobytes() == gradient.tobytes()
 
 
+# Each factory, and rastrigin also with its factors of 1.0 not skipped.
+_RETURN_TYPE_CASES = [
+    make_quadratic(2.5, 3, x_star=[1.0, -2.0, 0.5]), make_j1(7, 1), make_j2(0.1, 1.0),
+    make_rastrigin(1.0, 1.0, 0.05, 2), make_rastrigin(3.0, 2.0, 0.05, 2),
+]
+
+
+@pytest.mark.parametrize("objective", _RETURN_TYPE_CASES, ids=lambda o: f"{o.name}-{o.dim}")
+def test_value_of_a_point_is_a_scalar_and_of_a_batch_an_array(objective):
+    rng = np.random.default_rng(3)
+    point = rng.uniform(-5.0, 5.0, size=objective.dim)
+    assert type(objective.value(point)) is np.float64
+    assert objective.gradient(point).shape == (objective.dim,)
+    for m in (1, 4):
+        batch = rng.uniform(-5.0, 5.0, size=(m, objective.dim))
+        values = objective.value(batch)
+        assert type(values) is np.ndarray and values.shape == (m,)
+        assert objective.gradient(batch).shape == (m, objective.dim)
+
+
 def _suite():
     return [
         (make_quadratic(1.0, 2), 10.0),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -666,6 +667,33 @@ class TestDlGndBatch:
         with pytest.raises(DivergedError) as err:
             _run_batch(q, 0.3, np.full((5, 2), 2.0), cfg, rngs, fold, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, call, "gradient")
+
+
+class TestBatchOneBytes:
+    """Batch-1 rastrigin runs, pinned by the sha1 of their output bytes."""
+
+    @staticmethod
+    def _start():
+        rast = make_rastrigin(1.0, 1.0, 0.01, 2)
+        rng = RngStream(0, 0)
+        return rast, -20.0 + 40.0 * rng.uniforms(2), rng
+
+    def test_dlgnd_criterion_7(self):
+        # The first run of the dlgnd-single benchmark workload at seed 0.
+        rast, x0, rng = self._start()
+        cfg = DlGndConfig(eta=1.5, s=3.0, f_lb0=-20.0, gamma=0.03, N=490, T1=100, T2=10)
+        trace = dlgnd_run(rast, SgOracle(rast, 0.0), x0, cfg, rng)
+        digest = hashlib.sha1(trace.lb_history.tobytes() + trace.min_values.tobytes())
+        assert digest.hexdigest() == "158cbcacc9814d0723800b581404d0ec4c96007f"
+
+    def test_gnd_with_oracle_noise(self):
+        rast, x0, rng = self._start()
+        traj = gnd_run(rast, SgOracle(rast, 0.5), x0, GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=200),
+                       rng)
+        digest = hashlib.sha1(b"".join(a.tobytes() for a in (
+            traj.points, traj.values, traj.sigmas, traj.half_values)))
+        assert digest.hexdigest() == "4f6f0c036f219e89516a4d274411236d6b227717"
+        assert traj.t_star == 143
 
 
 class TestGndConfig:
