@@ -287,16 +287,20 @@ def make_rastrigin(a: float, b: float, c: float, dim: int) -> Objective:
     # a * b and 2 * c are formed first, as the formulas read left to right.  A
     # factor of exactly 1.0 is skipped: y * 1.0 is y bit for bit in IEEE 754.
     ab, c2 = a * b, 2.0 * c
+    # The constants that meet arrays are 0-d float64 arrays, built once, because
+    # numpy converts a Python or numpy scalar operand on every call.
+    dim_0d, a_0d, b_0d, c_0d, ab_0d, c2_0d = (np.array(float(k)) for k in (dim, a, b, c, ab, c2))
 
     def value(x):
         x = np.asarray(x, dtype=np.float64)
-        wave = dim - np.add.reduce(np.cos(x if b == 1.0 else b * x), axis=-1)
-        return _scalarize((wave if a == 1.0 else a * wave) + c * np.add.reduce(x * x, axis=-1))
+        wave = dim_0d - np.add.reduce(np.cos(x if b == 1.0 else b_0d * x), axis=-1)
+        wave = wave if a == 1.0 else a_0d * wave
+        return _scalarize(wave + c_0d * np.add.reduce(x * x, axis=-1))
 
     def gradient(x):
         x = np.asarray(x, dtype=np.float64)
-        wave = np.sin(x if b == 1.0 else b * x)
-        return (wave if ab == 1.0 else ab * wave) + c2 * x
+        wave = np.sin(x if b == 1.0 else b_0d * x)
+        return (wave if ab == 1.0 else ab_0d * wave) + c2_0d * x
 
     return Objective(
         name="rastrigin", dim=dim, value=value, gradient=gradient,

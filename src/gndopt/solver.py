@@ -14,7 +14,9 @@ the noise bookkeeping but never enter t*).
 Cost per iteration: one gradient evaluation (at x_t) and two value evaluations
 (at x_{t+1/2} and x_{t+1}); each stage adds the value at its x_0.  A config's
 ``work(m, d, r)`` gives the value and gradient rows and the draws of a whole
-run.
+run.  Constants that meet arrays in the step loop are 0-d float64 arrays, built
+once per run, because numpy converts a Python or numpy scalar operand on every
+call.
 
 All runners drive one batched kernel, ``_run_stages``, once per run or row
 block, so a single trajectory is bitwise identical to the corresponding row of
@@ -251,13 +253,14 @@ def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
         raise ParameterError(f"need one rng stream per row: {len(rngs)} streams, {m} rows")
     eta = float(cfg.eta)
     s = float(cfg.s)
-    eta_s = eta * s
     r = float(r)
     draw_omega = r > 0.0
     draw_xi = s > 0.0
     cols = _noise_cols(d, r, s)
     xi_cols = slice(d if draw_omega else 0, None)
     total = cfg.total_iterations
+    # The step loop's constants, 0-d; sigma's factor eta * s is formed first.
+    eta, eta_s, r, zero = (np.array(k) for k in (eta, eta * s, r, 0.0))
 
     # Noise for up to `most` iterations, already divided by sqrt(d): one buffer
     # per run within the draw-ahead budget, refilled in place, stream by stream
@@ -285,7 +288,7 @@ def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
             xh = x - eta * (g + r * block[:, bpos, :d] if draw_omega else g)
             vh = objective.value(xh)
             _check_values(vh, t, trial_base, HALF_VALUE)
-            sig = np.sqrt(eta_s * np.maximum(vh - f_lb, 0.0))
+            sig = np.sqrt(eta_s * np.maximum(vh - f_lb, zero))
             if draw_xi:
                 x = xh - sig[:, None] * block[:, bpos, xi_cols]
             else:
@@ -296,7 +299,7 @@ def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
             if observer is not None:
                 observer.step(t + 1, x, v, vh, sig, g)
             better = v < v_min
-            if better.any():
+            if np.count_nonzero(better):
                 np.copyto(v_min, v, where=better)
                 np.copyto(x_min, x, where=better[:, None])
         yield f_lb, x_min, v_min

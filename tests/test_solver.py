@@ -688,8 +688,8 @@ class TestBatchOneBytes:
 
     def test_gnd_with_oracle_noise(self):
         rast, x0, rng = self._start()
-        traj = gnd_run(rast, SgOracle(rast, 0.5), x0, GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=200),
-                       rng)
+        cfg = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=200)
+        traj = gnd_run(rast, SgOracle(rast, 0.5), x0, cfg, rng)
         digest = hashlib.sha1(b"".join(a.tobytes() for a in (
             traj.points, traj.values, traj.sigmas, traj.half_values)))
         assert digest.hexdigest() == "4f6f0c036f219e89516a4d274411236d6b227717"
