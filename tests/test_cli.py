@@ -207,6 +207,18 @@ class TestCheck:
                                  *given)
         assert (code, out, err) == (1, "", f"gndopt: {message}\n")
 
+    @pytest.mark.parametrize("flags,digest", [
+        (["j1", "--n", "112", "--k", "2"], "ac16f9ffa3039bcfd1bbb16f04a86f92bb6b5c50"),
+        (["j2", "--eps", "0.1", "--R", "1"], "2aa23894097af891b2e61a97ebe21c18a437c405"),
+        (["rastrigin", "--a", "1", "--b", "1", "--c", "0.05", "--d", "10", "--alpha", "0.1",
+          "--L", "3"], "8cdac8cab0d86f140ae6581d6a529b04f41bb6d6"),
+    ], ids=["j1-112-2", "j2-0.1-1", "rastrigin-10d"])
+    def test_report_bytes(self, capsys, flags, digest):
+        # The default grid: 100 000 points, log-spaced in d = 1, a seeded shell sample in d = 10.
+        code, out, _ = run_cli(capsys, "check", "--function", *flags)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == digest
+
     def test_fewest_grid_points(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--function", "quadratic", "--grid-points", "4")
         assert code == 0
