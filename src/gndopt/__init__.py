@@ -8,8 +8,7 @@ reproducible Monte-Carlo harness measuring convergence in state space (MSE)
 and probability space (N-CP).
 """
 
-from gndopt.errors import (ConstraintNotCheckableError, DivergedError,
-                           GateViolationError, ParameterError)
+from gndopt.errors import DivergedError, ParameterError
 from gndopt.experiments import (ContractionReport, ExperimentConfig, StatsSeries,
                                 StoppingTimeReport, contraction_check,
                                 run_monte_carlo, stopping_time_check, write_csv,
@@ -21,12 +20,11 @@ from gndopt.sampling import (RngStream, SgOracle, fill_scaled_gaussian,
                              scaled_gaussian_norm_moments)
 from gndopt.solver import (DlGndConfig, DlGndTrace, GndConfig, Trajectory,
                            dlgnd_run, gd_run, gnd_run)
-from gndopt.theory import (BarrierResult, ConditionCheck, DoubleLoopSchedule,
-                           RegularityReport, Schedule, ball_shell_grid,
-                           barrier_check, check_eta_constraint, dlgnd_schedule,
-                           estimate_beta_quadratic, gnd_iteration_bound,
-                           gnd_schedule, j2_condition_table,
-                           nearly_convex_gate, regularity_constants_grid,
-                           stopping_time_bound, symmetric_log_grid)
+from gndopt.theory import (ConditionCheck, DoubleLoopSchedule, RegularityReport,
+                           Schedule, ball_shell_grid, check_eta_constraint,
+                           dlgnd_schedule, gnd_iteration_bound, gnd_schedule,
+                           j2_condition_table, nearly_convex_gate,
+                           regularity_constants_grid, stopping_time_bound,
+                           symmetric_log_grid)
 
 __version__ = "0.1.0"

@@ -24,14 +24,6 @@ class ParameterError(ValueError):
     """An operation received invalid parameters."""
 
 
-class GateViolationError(ParameterError):
-    """A regularity gate required by a schedule is violated (beta >= alpha)."""
-
-
-class ConstraintNotCheckableError(ParameterError):
-    """A feasibility check is indeterminate for the given inputs (s = 0 with beta > 0)."""
-
-
 class DivergedError(RuntimeError):
     """A trajectory produced a non-finite or absurdly large value or gradient.
 

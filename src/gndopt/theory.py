@@ -1,4 +1,4 @@
-"""Schedules, regularity gates and estimators, barrier check, stopping-time bound.
+"""Schedules, regularity gates and the grid audit, stopping-time bound.
 
 The schedule functions turn a nearly-convexity certificate ``(alpha, L)`` plus
 oracle and lower-bound information into concrete solver hyperparameters:
@@ -14,11 +14,12 @@ oracle and lower-bound information into concrete solver hyperparameters:
   split ``zeta' = zeta/(N+1)`` depends on N, so N is fixed first from its own
   (zeta-free) bound and the iteration counts follow.
 
-Grid estimators report grid-restricted constants.  Because every grid min/max
-ranges over a subset of the real line, the reported values are one-sided:
-``mu_*`` estimates are upper bounds on the true infima and ``beta`` estimates
-are upper bounds obtained from the quadratic surrogate (the infimum over all
-one-point strongly convex surrogates is not computable).
+The grid audit :func:`regularity_constants_grid` reports grid-restricted
+constants.  Because every grid min/max ranges over a subset of the real line,
+the reported values are one-sided: ``mu_*`` estimates are upper bounds on the
+true infima and ``beta`` estimates are upper bounds obtained from the quadratic
+surrogate (the infimum over all one-point strongly convex surrogates is not
+computable).
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from gndopt.errors import (ConstraintNotCheckableError, GateViolationError, ParameterError,
-                           require_certificate, require_finite, require_integer,
-                           require_nonnegative, require_point, require_positive,
+from gndopt.errors import (ParameterError, require_certificate, require_finite,
+                           require_integer, require_nonnegative, require_positive,
                            require_uint64, require_unit_interval)
 from gndopt.objectives import Objective, make_j2
 from gndopt.sampling import RngStream
@@ -73,22 +73,6 @@ class RegularityReport:
     beta_hat: float   # quadratic-surrogate deviation: max 2 |f - f* - alpha/2 r^2| / r^2
     nc_gate: bool     # beta_hat within the admissible threshold for (alpha, L, d)
     n_points: int
-
-
-@dataclass(frozen=True)
-class BarrierResult:
-    """Boundary-infimum check on a ball around a candidate trap point.
-
-    ``holds`` means the boundary minimum of f - f(x_hat) stayed below the
-    admissible barrier height.  For d = 2 the boundary is scanned on an
-    angular grid, so ``holds=True`` is conclusive while ``holds=False`` is
-    only inconclusive-at-grid-resolution (``conclusive`` is False then).
-    """
-
-    lhs: float
-    rhs: float
-    holds: bool
-    conclusive: bool
 
 
 @dataclass(frozen=True)
@@ -163,7 +147,7 @@ def dlgnd_schedule(alpha: float, L: float, r: float, eps: float, zeta: float,
     require_certificate(alpha, L)
     require_nonnegative(beta=beta)
     if beta >= alpha:
-        raise GateViolationError(f"beta must stay below alpha, got beta={beta} >= alpha={alpha}")
+        raise ParameterError(f"beta must stay below alpha, got beta={beta} >= alpha={alpha}")
     require_positive(f_gap0=f_gap0, eps=eps)
     require_unit_interval(zeta=zeta)
     require_positive(y0_dist_sq=y0_dist_sq)
@@ -211,7 +195,7 @@ def check_eta_constraint(eta: float, s: float, alpha: float, L: float,
     if beta == 0.0:
         return rhs > 0.0 if s == 0.0 else rhs >= 0.0
     if s == 0.0:
-        raise ConstraintNotCheckableError("s = 0 with beta > 0: the feasibility radical is undefined")
+        raise ParameterError("s = 0 with beta > 0: the feasibility radical is undefined")
     if beta >= alpha:
         return False
     den = math.pi * eta * s * (alpha - beta)  # the radical's; it may underflow to 0
@@ -228,38 +212,6 @@ def nearly_convex_gate(alpha: float, L: float, d: int) -> float:
     require_integer(1, d=d)
     require_finite(d=d)
     return 0.25 * alpha * (alpha / L) ** 1.5 / math.sqrt(d)
-
-
-def _grid_values(objective: Objective, grid,
-                 alpha: float) -> tuple[Array, Array, Array, Array, float]:
-    """The grid as rows, x - x*, ||x - x*||^2 and f - f* per row, and the deviation bound."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim == 1:
-        grid = grid[:, None]
-    if grid.size == 0:
-        raise ParameterError("grid must be non-empty")
-    if grid.shape[-1] != objective.dim:
-        raise ParameterError(f"grid points must have dimension {objective.dim}, got {grid.shape[-1]}")
-    if not np.isfinite(grid).all():
-        require_finite(grid=grid[~np.isfinite(grid)][0])
-    diffs = grid - objective.minimizer
-    r2 = np.sum(diffs * diffs, axis=-1)
-    if np.any(r2 == 0.0):
-        raise ParameterError("grid must exclude the minimizer")
-    fv = np.atleast_1d(objective.value(grid)) - objective.min_value
-    return grid, diffs, r2, fv, float(np.max(2.0 * np.abs(fv - 0.5 * alpha * r2) / r2))
-
-
-def estimate_beta_quadratic(objective: Objective, alpha: float, grid) -> float:
-    """Upper bound on the surrogate deviation via the quadratic candidate.
-
-    Returns max over the grid of ``2*|f(x) - f* - alpha/2*||x - x*||^2| / ||x - x*||^2``.
-    The quadratic ``alpha/2*||x - x*||^2`` is itself one-point strongly convex,
-    so this is a valid upper bound on the deviation infimum restricted to the
-    grid, and is reported as such.
-    """
-    require_positive(alpha=alpha)
-    return _grid_values(objective, grid, alpha)[-1]
 
 
 def _certified(objective: Objective, alpha, L) -> tuple[float, float]:
@@ -279,12 +231,29 @@ def regularity_constants_grid(objective: Objective, grid, alpha: float | None = 
     """Grid-restricted regularity constants for an objective with known minimizer.
 
     ``alpha``/``L`` default to the objective's certificate; they are needed for
-    the surrogate-deviation estimate and the admissibility gate.  Points with
-    ``f(x) - f* <= 1e-14`` are skipped by the gradient-dominance ratio to avoid
-    0/0 next to the minimizer.
+    the surrogate-deviation estimate and the admissibility gate.  ``beta_hat``
+    is the max over the grid of ``2*|f(x) - f* - alpha/2*r^2| / r^2`` with
+    ``r = ||x - x*||``: the quadratic ``alpha/2*r^2`` is itself one-point
+    strongly convex, so this bounds the deviation infimum on the grid from
+    above.  Points with ``f(x) - f* <= 1e-14`` are skipped by the
+    gradient-dominance ratio to avoid 0/0 next to the minimizer.
     """
     alpha, L = _certified(objective, alpha, L)
-    grid, diffs, r2, fv, beta_hat = _grid_values(objective, grid, alpha)
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim == 1:
+        grid = grid[:, None]
+    if grid.size == 0:
+        raise ParameterError("grid must be non-empty")
+    if grid.shape[-1] != objective.dim:
+        raise ParameterError(f"grid points must have dimension {objective.dim}, got {grid.shape[-1]}")
+    if not np.isfinite(grid).all():
+        require_finite(grid=grid[~np.isfinite(grid)][0])
+    diffs = grid - objective.minimizer
+    r2 = np.sum(diffs * diffs, axis=-1)
+    if np.any(r2 == 0.0):
+        raise ParameterError("grid must exclude the minimizer")
+    fv = np.atleast_1d(objective.value(grid)) - objective.min_value
+    beta_hat = float(np.max(2.0 * np.abs(fv - 0.5 * alpha * r2) / r2))
     g = objective.gradient(grid)
     mu_r = float(np.min(np.sum(g * diffs, axis=-1) / r2))
     mask = fv > 1e-14
@@ -319,40 +288,6 @@ def j2_condition_table(eps: float, R: float) -> list[ConditionCheck]:
         ConditionCheck("QG", True, 1.0 - eps),
         ConditionCheck("NC", certificate is not None, certificate),
     ]
-
-
-def barrier_check(objective: Objective, x_hat, radius: float,
-                  alpha: float | None = None, L: float | None = None,
-                  boundary_points: int = 10_000) -> BarrierResult:
-    """Check the barrier bound on the ball B(x_hat, radius), which must exclude x*.
-
-    lhs is the boundary minimum of ``f - f(x_hat)`` (exact for d = 1, where the
-    boundary is two endpoints; an angular grid for d = 2); rhs is the
-    admissible barrier height ``gate(alpha, L, d) * ||x_hat - x*||^2``.
-    """
-    d = objective.dim
-    if d not in (1, 2):
-        raise ParameterError(f"barrier check supports d in {{1, 2}}, got d={d}")
-    require_positive(radius=radius)
-    require_integer(1, boundary_points=boundary_points)
-    alpha, L = _certified(objective, alpha, L)
-    x_hat = require_point(d, x_hat=x_hat)
-    dist = math.sqrt(float(np.sum((x_hat - objective.minimizer) ** 2)))
-    if radius >= dist:
-        raise ParameterError(
-            f"ball of radius {radius} around x_hat contains the minimizer (distance {dist})")
-    if d == 1:
-        boundary = np.array([[x_hat[0] - radius], [x_hat[0] + radius]])
-        conclusive_when_false = True
-    else:
-        angles = np.linspace(0.0, 2.0 * math.pi, int(boundary_points), endpoint=False)
-        boundary = x_hat + radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        conclusive_when_false = False
-    lhs = float(np.min(np.atleast_1d(objective.value(boundary))) - objective.value(x_hat))
-    rhs = nearly_convex_gate(alpha, L, d) * dist * dist
-    holds = lhs < rhs
-    return BarrierResult(lhs=lhs, rhs=rhs, holds=holds,
-                         conclusive=holds or conclusive_when_false)
 
 
 def stopping_time_bound(theta: float, b: float, ell: float, M: int, B: float) -> float:

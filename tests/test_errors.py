@@ -7,8 +7,8 @@ import pytest
 import numpy as np
 
 from gndopt import (DlGndConfig, ExperimentConfig, GndConfig, Objective, ParameterError,
-                    RngStream, SgOracle, barrier_check, check_eta_constraint, contraction_check,
-                    dlgnd_run, dlgnd_schedule, estimate_beta_quadratic, gnd_iteration_bound,
+                    RngStream, SgOracle, check_eta_constraint, contraction_check,
+                    dlgnd_run, dlgnd_schedule, gnd_iteration_bound,
                     gnd_run, gnd_schedule, j1_stationary_points, make_objective, make_quadratic,
                     make_rastrigin, nearly_convex_gate, regularity_constants_grid,
                     run_monte_carlo, stopping_time_check)
@@ -117,8 +117,6 @@ _Q = make_quadratic(1.0, 1)
      "y0_dist_sq must be finite, got inf"),
     (lambda: stopping_time_check(make_quadratic(1.0, 1), r=1.0, ell=1.0, M=math.nan, trials=5,
                                  x0=[5.0], seed=0), "M must be finite, got nan"),
-    (lambda: barrier_check(make_quadratic(1.0, 1), [math.nan], 0.5),
-     "x_hat must be finite, got nan"),
     (lambda: GndConfig(eta=0.0, s=0.5, f_lb=0.0, T=5), "eta must be positive, got 0.0"),
     (lambda: GndConfig(eta=0.4, s=math.nan, f_lb=0.0, T=5), "s must be finite, got nan"),
     (lambda: GndConfig(eta=0.4, s=-1.0, f_lb=0.0, T=5), "s must be nonnegative, got -1.0"),
@@ -127,8 +125,6 @@ _Q = make_quadratic(1.0, 1)
                                seed=0), "x0 must have shape (1,), got (2,)"),
     (lambda: stopping_time_check(make_quadratic(1.0, 1), r=1.0, ell=1.0, M=5, trials=5,
                                  x0=[1.0, 2.0], seed=0), "x0 must have shape (1,), got (2,)"),
-    (lambda: barrier_check(make_quadratic(1.0, 2), [1.0, 2.0, 3.0], 0.1),
-     "x_hat must have shape (2,), got (3,)"),
     (lambda: make_quadratic(1.0, 2, x_star=[1.0, math.nan]), "x_star must be finite, got nan"),
     (lambda: make_quadratic(1.0, 2, x_star=[1.0, 2.0, 3.0]),
      "x_star must have shape (2,), got (3,)"),
@@ -142,7 +138,7 @@ _Q = make_quadratic(1.0, 1)
                        RngStream(0, 0)), "x0 must be finite, got nan"),
     (lambda: regularity_constants_grid(make_quadratic(1.0, 1), [[math.nan], [1.0]]),
      "grid must be finite, got nan"),
-    (lambda: estimate_beta_quadratic(make_quadratic(1.0, 1), 1.0, [[1.0], [math.inf]]),
+    (lambda: regularity_constants_grid(make_quadratic(1.0, 1), [[1.0], [math.inf]]),
      "grid must be finite, got inf"),
     (lambda: make_objective("j1", n=7, k=1, x_star=[1.0]),
      "objective 'j1' got unknown keys ['x_star']"),
@@ -155,8 +151,6 @@ _Q = make_quadratic(1.0, 1)
     (lambda: _experiment(seed=2.5), "seed must be a nonnegative integer, got 2.5"),
     (lambda: _experiment(seed=math.nan), "seed must be finite, got nan"),
     (lambda: _experiment(seed=-1), "seed must be a nonnegative integer, got -1"),
-    (lambda: barrier_check(make_quadratic(1.0, 2), [1.0, 1.0], 0.1, boundary_points=0),
-     "boundary_points must be a positive integer, got 0"),
     (lambda: RngStream(10**5000, 0),
      "master_seed must fit in 64 unsigned bits, got a 16610-bit integer"),
     (lambda: RngStream(0, 2**64),
@@ -221,16 +215,16 @@ _Q = make_quadratic(1.0, 1)
     (lambda: nearly_convex_gate(1.0, 1.0, 10**400), "d must be finite, got a 1329-bit integer"),
 ], ids=["check_eta_constraint-s", "nearly_convex_gate-L", "GndConfig-T-nan", "GndConfig-T-inf",
         "ExperimentConfig-trials", "j1_stationary_points-n", "gnd_iteration_bound-y0_dist_sq",
-        "stopping_time_check-M", "barrier_check-x_hat", "GndConfig-eta-zero", "GndConfig-s-nan",
+        "stopping_time_check-M", "GndConfig-eta-zero", "GndConfig-s-nan",
         "GndConfig-s-negative", "GndConfig-f_lb-nan", "contraction_check-x0-shape",
-        "stopping_time_check-x0-shape", "barrier_check-x_hat-shape", "make_quadratic-x_star-nan",
+        "stopping_time_check-x0-shape", "make_quadratic-x_star-nan",
         "make_quadratic-x_star-shape", "ExperimentConfig-init_low-shape", "gnd_run-x0-nan",
         "dlgnd_run-x0-nan", "regularity_constants_grid-grid-nan",
-        "estimate_beta_quadratic-grid-inf", "make_objective-j1-x_star",
+        "regularity_constants_grid-grid-inf", "make_objective-j1-x_star",
         "make_objective-quadratic-dim", "RngStream-seed-fraction", "RngStream-seed-nan",
         "RngStream-index-fraction", "RngStream-seed-huge", "ExperimentConfig-seed-fraction",
         "ExperimentConfig-seed-nan", "ExperimentConfig-seed-negative",
-        "barrier_check-boundary_points", "RngStream-seed-huge-digits", "RngStream-index-huge",
+        "RngStream-seed-huge-digits", "RngStream-index-huge",
         "ExperimentConfig-seed-huge", "stopping_time_check-seed-huge", "work-m-zero",
         "work-d-fraction", "work-r-negative", "work-r-nan", "make_quadratic-alpha-huge",
         "make_rastrigin-a-huge", "gnd_schedule-alpha-huge", "gnd_run-eta-huge", "gnd_run-r-huge",

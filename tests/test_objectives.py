@@ -346,12 +346,12 @@ def test_gradient_zero_at_minimizer_everywhere():
 
 def test_certified_sandwich_holds_on_samples():
     # (alpha - beta_hat)/2 * r^2 <= f - f* <= L/2 * r^2 with the grid beta bound
-    from gndopt import estimate_beta_quadratic, symmetric_log_grid
+    from gndopt import regularity_constants_grid, symmetric_log_grid
     grid = symmetric_log_grid(1e-4, 10.0, 2000)
     rng = np.random.Generator(np.random.Philox(key=np.array([23, 0], dtype=np.uint64)))
     for objective in (make_j1(199, 1), make_j2(0.1, 1.0), make_quadratic(1.3, 1)):
         alpha, big_l = objective.certificate
-        beta_hat = estimate_beta_quadratic(objective, alpha, grid)
+        beta_hat = regularity_constants_grid(objective, grid).beta_hat
         xs = rng.uniform(-10.0, 10.0, size=(200, 1))
         xs = xs[np.abs(xs[:, 0]) > 1e-8]
         fv = np.atleast_1d(objective.value(xs))

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gndopt import (ConstraintNotCheckableError, GateViolationError,
-                    ParameterError, barrier_check, check_eta_constraint,
-                    dlgnd_schedule, estimate_beta_quadratic,
-                    gnd_iteration_bound, gnd_schedule, j1_stationary_points,
-                    j2_condition_table, make_j1, make_j2, make_quadratic,
-                    nearly_convex_gate, regularity_constants_grid,
-                    stopping_time_bound, symmetric_log_grid)
+from gndopt import (ParameterError, check_eta_constraint, dlgnd_schedule,
+                    gnd_iteration_bound, gnd_schedule, j2_condition_table,
+                    make_j1, make_j2, make_quadratic, nearly_convex_gate,
+                    regularity_constants_grid, stopping_time_bound,
+                    symmetric_log_grid)
 
 
 class TestGndSchedule:
@@ -93,9 +91,10 @@ class TestDoubleLoopSchedule:
                            y0_dist_sq=1.0, beta=0.0)
 
     def test_gate_violation(self):
-        with pytest.raises(GateViolationError):
+        with pytest.raises(ParameterError) as err:
             dlgnd_schedule(1.0, 1.0, 0.0, eps=0.01, zeta=0.05, f_gap0=1.0,
                            y0_dist_sq=1.0, beta=1.0)
+        assert str(err.value) == "beta must stay below alpha, got beta=1.0 >= alpha=1.0"
 
     @pytest.mark.parametrize("field", ["alpha", "L", "r", "eps", "zeta", "f_gap0",
                                        "y0_dist_sq", "beta"])
@@ -126,8 +125,9 @@ class TestEtaConstraint:
         assert 2.0 - eta - s / 2.0 == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_indeterminate_when_s_zero_with_positive_beta(self):
-        with pytest.raises(ConstraintNotCheckableError):
+        with pytest.raises(ParameterError) as err:
             check_eta_constraint(0.3, 0.0, 1.0, 1.0, 0.1, 1)
+        assert str(err.value) == "s = 0 with beta > 0: the feasibility radical is undefined"
 
     @settings(max_examples=60, deadline=None)
     @given(beta1=st.floats(0.01, 0.9), beta2=st.floats(0.01, 0.9),
@@ -201,7 +201,7 @@ class TestBetaEstimate:
     def test_matching_quadratic_gives_zero(self):
         q = make_quadratic(1.7, 1)
         grid = symmetric_log_grid(1e-5, 10.0, 500)
-        assert estimate_beta_quadratic(q, 1.7, grid) == 0.0
+        assert regularity_constants_grid(q, grid, alpha=1.7).beta_hat == 0.0
 
     def test_j1_past_threshold_within_sandwich(self):
         # the deviation ratio tends to 2*(1/2 - 21/50) = 4/25 as x -> 0, so the
@@ -209,25 +209,25 @@ class TestBetaEstimate:
         j1 = make_j1(199, 1)
         grid = np.arange(-10.0, 10.0, 1e-3)
         grid = grid[np.abs(grid) > 1e-6][:, None]
-        val = estimate_beta_quadratic(j1, 21.0 / 25.0, grid)
+        val = regularity_constants_grid(j1, grid, alpha=21.0 / 25.0).beta_hat
         assert 0.0 < val <= 4.0 / 25.0 + 1e-9
 
     def test_j2_bounded_by_eps(self):
         eps, R = 2.0 / 27.0, math.sqrt(18161.0) / 8.0
         j2 = make_j2(eps, R)
         grid = symmetric_log_grid(1e-6, 10.0, 50_000)
-        val = estimate_beta_quadratic(j2, 1.0, grid)
+        val = regularity_constants_grid(j2, grid, alpha=1.0).beta_hat
         assert val <= eps + 1e-12
 
     def test_grid_containing_minimizer_rejected(self):
         q = make_quadratic(1.0, 1)
-        with pytest.raises(ParameterError):
-            estimate_beta_quadratic(q, 1.0, np.array([[0.0], [1.0]]))
+        with pytest.raises(ParameterError, match="grid must exclude the minimizer"):
+            regularity_constants_grid(q, np.array([[0.0], [1.0]]))
 
     def test_nonnegative_on_any_objective(self):
         j1 = make_j1(7, 1)
         grid = symmetric_log_grid(1e-3, 9.0, 300)
-        assert estimate_beta_quadratic(j1, 0.84, grid) >= 0.0
+        assert regularity_constants_grid(j1, grid, alpha=0.84, L=1.0).beta_hat >= 0.0
 
 
 class TestRegularityGrid:
@@ -293,37 +293,6 @@ class TestJ2ConditionTable:
         rows = {r.condition: r for r in j2_condition_table(0.999, 0.001)}
         assert all(rows[name].holds for name in ("SC", "RSI", "PL", "QG", "NC"))
         assert 0.0 < rows["RSI"].parameter < 2e-3
-
-
-class TestBarrierCheck:
-    def test_j1_trap_barrier(self):
-        j1 = make_j1(199, 1)
-        x_hat = j1_stationary_points(199, 1, 0)[0]
-        res = barrier_check(j1, [x_hat], 0.3)
-        assert res.holds and res.conclusive
-        assert res.lhs < res.rhs
-
-    def test_quadratic_boundary(self):
-        q = make_quadratic(1.0, 1)
-        res = barrier_check(q, [2.0], 0.5)
-        assert res.holds
-        assert res.rhs > 0.0
-
-    def test_two_dimensional_grid(self):
-        from gndopt import make_rastrigin
-        r = make_rastrigin(1.0, 1.0, 0.01, 2)
-        res = barrier_check(r, [2.0 * math.pi, 0.0], 1.0, alpha=0.8, L=1.2)
-        assert res.lhs <= res.rhs or not res.conclusive
-
-    def test_ball_containing_minimizer_rejected(self):
-        q = make_quadratic(1.0, 1)
-        with pytest.raises(ParameterError):
-            barrier_check(q, [1.0], 1.5)
-
-    def test_dimension_restriction(self):
-        q = make_quadratic(1.0, 3)
-        with pytest.raises(ParameterError):
-            barrier_check(q, [1.0, 1.0, 1.0], 0.5)
 
 
 class TestStoppingTimeBound:
