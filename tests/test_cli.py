@@ -92,6 +92,12 @@ class TestSchedule:
         assert err == f"gndopt: {flag} is read only with --eps\n"
         assert out == ""
 
+    def test_beta_at_alpha_is_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "schedule", "--alpha", "1", "--L", "1",
+                                 "--eps", "0.01", "--fgap0", "1", "--beta", "1")
+        assert (code, out) == (1, "")
+        assert err == "gndopt: beta must stay below alpha, got beta=1.0 >= alpha=1.0\n"
+
     def test_invalid_certificate_is_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "--alpha", "2", "--L", "1")
         assert code == 1

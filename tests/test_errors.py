@@ -140,6 +140,10 @@ _Q = make_quadratic(1.0, 1)
      "grid must be finite, got nan"),
     (lambda: regularity_constants_grid(make_quadratic(1.0, 1), [[1.0], [math.inf]]),
      "grid must be finite, got inf"),
+    (lambda: regularity_constants_grid(make_quadratic(1.0, 1), np.empty((0, 1))),
+     "grid must be non-empty"),
+    (lambda: regularity_constants_grid(make_quadratic(1.0, 2), np.ones((4, 3))),
+     "grid points must have dimension 2, got 3"),
     (lambda: make_objective("j1", n=7, k=1, x_star=[1.0]),
      "objective 'j1' got unknown keys ['x_star']"),
     (lambda: make_objective("quadratic", alpha=1.0, dim=0), "dim must be a positive integer, got 0"),
@@ -220,7 +224,8 @@ _Q = make_quadratic(1.0, 1)
         "stopping_time_check-x0-shape", "make_quadratic-x_star-nan",
         "make_quadratic-x_star-shape", "ExperimentConfig-init_low-shape", "gnd_run-x0-nan",
         "dlgnd_run-x0-nan", "regularity_constants_grid-grid-nan",
-        "regularity_constants_grid-grid-inf", "make_objective-j1-x_star",
+        "regularity_constants_grid-grid-inf", "regularity_constants_grid-grid-empty",
+        "regularity_constants_grid-grid-dimension", "make_objective-j1-x_star",
         "make_objective-quadratic-dim", "RngStream-seed-fraction", "RngStream-seed-nan",
         "RngStream-index-fraction", "RngStream-seed-huge", "ExperimentConfig-seed-fraction",
         "ExperimentConfig-seed-nan", "ExperimentConfig-seed-negative",

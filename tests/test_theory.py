@@ -229,6 +229,24 @@ class TestBetaEstimate:
         grid = symmetric_log_grid(1e-3, 9.0, 300)
         assert regularity_constants_grid(j1, grid, alpha=0.84, L=1.0).beta_hat >= 0.0
 
+    def test_matches_its_definition_in_two_dims(self):
+        # beta_hat = max over the grid of 2*|f - f* - alpha/2*r^2| / r^2
+        from gndopt import make_rastrigin
+        rast = make_rastrigin(1.0, 1.0, 0.05, 2)
+        rng = np.random.Generator(np.random.Philox(key=np.array([29, 0], dtype=np.uint64)))
+        grid = rng.uniform(-5.0, 5.0, size=(400, 2))
+        r2 = np.sum(grid * grid, axis=-1)
+        fv = np.atleast_1d(rast.value(grid))
+        expected = np.max(2.0 * np.abs(fv - 0.5 * 0.1 * r2) / r2)
+        got = regularity_constants_grid(rast, grid, alpha=0.1, L=3.0).beta_hat
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_deleted_theory_names_are_not_exported(self):
+        import gndopt
+        for name in ("barrier_check", "BarrierResult", "estimate_beta_quadratic",
+                     "GateViolationError", "ConstraintNotCheckableError"):
+            assert not hasattr(gndopt, name), name
+
 
 class TestRegularityGrid:
     def test_quadratic_constants_exact(self):
