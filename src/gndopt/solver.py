@@ -14,9 +14,13 @@ the noise bookkeeping but never enter t*).
 Cost per iteration: one gradient evaluation (at x_t) and two value evaluations
 (at x_{t+1/2} and x_{t+1}); each stage adds the value at its x_0.  A config's
 ``work(m, d, r)`` gives the value and gradient rows and the draws of a whole
-run.  Constants that meet arrays in the step loop are 0-d float64 arrays, built
-once per run, because numpy converts a Python or numpy scalar operand on every
-call.
+run.  The value rows of a stage of T iterations come in T+1 calls: x_{t+1/2}
+needs grad f(x_t) but not f(x_t), so pass t makes one value call on the
+stacked rows [x_t; x_{t+1/2}], and the last pass evaluates f(x_T) alone.  No
+objective's value of a row depends on the rest of its batch, so the stacked
+values are bitwise those of two calls.  Constants that meet arrays in the step
+loop are 0-d float64 arrays, built once per run, because numpy converts a
+Python or numpy scalar operand on every call.
 
 All runners drive one batched kernel, ``_run_stages``, once per run or row
 block, so a single trajectory is bitwise identical to the corresponding row of
@@ -36,7 +40,9 @@ gradient row of norm above it, and anything non-finite.  It screens each block
 of at most 10 000 numbers first: one dot product, a sum of squares of at most
 ``GUARD_LIMIT**2 / 4``, passes the block.  Only a block the screen does not pass
 gets the exact row scan, which alone decides whether to raise and which row to
-name.
+name.  Reports come in the order f(x_t), grad f(x_t), f(x_{t+1/2}): the gradient
+is guarded before the stacked call, and if it fails, f(x_t) is evaluated alone
+and guarded first.  One screen covers each stacked result.
 """
 
 from __future__ import annotations
@@ -73,9 +79,9 @@ class _Stages:
         """Objective rows and draws of a run of m trajectories with drawn starts in dimension d.
 
         Per trajectory: one stream and its d init uniforms; per stage of T
-        iterations, 2T+1 value rows (f(x_0), then f(x_{t+1/2}) and f(x_{t+1})),
-        T gradient rows and T * _noise_cols(d, r, s) normals, r being the SG
-        oracle's noise level.
+        iterations, 2T+1 value rows (f(x_0), then f(x_{t+1/2}) and f(x_{t+1}),
+        which the kernel evaluates in T+1 calls per row block), T gradient rows
+        and T * _noise_cols(d, r, s) normals, r being the SG oracle's noise level.
         """
         require_integer(1, m=m, d=d)
         require_nonnegative(r=r)
@@ -233,19 +239,22 @@ class _Recorder:
 def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
     """Run ``cfg``'s stages on a batch of trajectories, one rng stream per row.
 
-    ``r`` is the SG oracle's noise level.  Each stage evaluates and guards f(x_0)
-    at its first iteration t0 of the whole run, then runs its iterations; each
-    row keeps the first minimizer of f(x_t) over the stage (a strict ``<``, as
-    ``np.argmin`` picks).  After each stage the kernel yields the rows'
-    ``(f_lb, x_min, f(x_min))``; the next stage sets ``f_lb <- (1-gamma)*f_lb +
-    gamma*f(x_min)`` and restarts from x_min.  It keeps nothing of the run: it
-    calls ``observer.step(t, x_t, f(x_t), f(x_{t-1/2}), sigma_{t-1}, g)`` first
-    at t = 0 (with None for the last three) and after each step, once the
-    step's values are guarded, with g = grad f(x_{t-1}) (grad f(x_min) in a
-    restart's first step) without the oracle's noise.  A restart's x_0 takes
-    no iteration and is not observed.  The arrays it passes and yields are not
-    written to afterwards.  Raises DivergedError, naming iteration t, as soon
-    as any row produces a non-finite value/gradient or exceeds GUARD_LIMIT.
+    ``r`` is the SG oracle's noise level.  A stage of T iterations, starting at
+    iteration t0 of the whole run, makes T+1 passes: pass t evaluates and
+    guards grad f(x_t), then f(x_t) and f(x_{t+1/2}) in one call, and the last
+    pass f(x_T) alone.  Each row keeps the first minimizer of f(x_t) over the
+    stage (a strict ``<``, as ``np.argmin`` picks).  After each stage the kernel
+    yields the rows' ``(f_lb, x_min, f(x_min))``; the next stage sets
+    ``f_lb <- (1-gamma)*f_lb + gamma*f(x_min)`` and restarts from x_min.  It
+    keeps nothing of the run: it calls ``observer.step(t, x_t, f(x_t),
+    f(x_{t-1/2}), sigma_{t-1}, g)`` in pass t, once f(x_t) is guarded: first at
+    t = 0 (with None for the last three), then with g = grad f(x_{t-1})
+    (grad f(x_min) in a restart's first step) without the oracle's noise.  A
+    restart's x_0 takes no iteration and is not observed.  The arrays it passes
+    and yields are not written to afterwards.  Raises DivergedError, naming
+    iteration t, as soon as any row produces a non-finite value/gradient or
+    exceeds GUARD_LIMIT; f(x_t) is reported before grad f(x_t), and that before
+    f(x_{t+1/2}).
     """
     x = np.array(x0, dtype=np.float64)
     m, d = x.shape
@@ -273,37 +282,50 @@ def _run_stages(objective, x0, rngs, observer, cfg, r, trial_base=None):
         if nu:
             f_lb = (1.0 - cfg.gamma) * f_lb + cfg.gamma * v_min
             x = x_min
-        v = objective.value(x)
-        _check_values(v, t0, trial_base)
-        if not nu and observer is not None:
-            observer.step(0, x, v, None, None, None)
-        x_min, v_min = x.copy(), v.copy()
-        for t in range(t0, t0 + T):
-            if cols and bpos == span:
-                span = min(most, total - t)
-                fill_scaled_gaussian(block[:, :span], rngs, d)
-                bpos = 0
-            g = objective.gradient(x)
-            _check_gradients(g, t, trial_base)
-            xh = x - eta * (g + r * block[:, bpos, :d] if draw_omega else g)
-            vh = objective.value(xh)
-            _check_values(vh, t, trial_base, HALF_VALUE)
-            sig = np.sqrt(eta_s * np.maximum(vh - f_lb, zero))
-            if draw_xi:
-                x = xh - sig[:, None] * block[:, bpos, xi_cols]
+        end = t0 + T
+        for t in range(t0, end + 1):
+            if t < end:
+                if cols and bpos == span:
+                    span = min(most, total - t)
+                    fill_scaled_gaussian(block[:, :span], rngs, d)
+                    bpos = 0
+                g_t = objective.gradient(x)
+                try:
+                    _check_gradients(g_t, t, trial_base)
+                except DivergedError:
+                    # f(x_t) is guarded before grad f(x_t), as it is reported first.
+                    _check_values(objective.value(x), t, trial_base)
+                    raise
+                xh = x - eta * (g_t + r * block[:, bpos, :d] if draw_omega else g_t)
+                vv = objective.value(np.concatenate((x, xh)))
+                if not _screened(vv):
+                    _check_values(vv[:m], t, trial_base)
+                    _check_values(vv[m:], t, trial_base, HALF_VALUE)
+                v = vv[:m]
             else:
-                x = xh
-            bpos += 1
-            v = objective.value(x)
-            _check_values(v, t + 1, trial_base)
-            if observer is not None:
-                observer.step(t + 1, x, v, vh, sig, g)
-            better = v < v_min
-            if np.count_nonzero(better):
-                np.copyto(v_min, v, where=better)
-                np.copyto(x_min, x, where=better[:, None])
+                v = objective.value(x)
+                _check_values(v, t, trial_base)
+            if t == t0:
+                if not nu and observer is not None:
+                    observer.step(0, x, v, None, None, None)
+                x_min, v_min = x.copy(), v.copy()
+            else:
+                if observer is not None:
+                    observer.step(t, x, v, vh, sig, g)
+                better = v < v_min
+                if np.count_nonzero(better):
+                    np.copyto(v_min, v, where=better)
+                    np.copyto(x_min, x, where=better[:, None])
+            if t < end:
+                vh, g = vv[m:], g_t
+                sig = np.sqrt(eta_s * np.maximum(vh - f_lb, zero))
+                if draw_xi:
+                    x = xh - sig[:, None] * block[:, bpos, xi_cols]
+                else:
+                    x = xh
+                bpos += 1
         yield f_lb, x_min, v_min
-        t0 += T
+        t0 = end
 
 
 def gnd_run(objective: Objective, oracle: SgOracle, x0, cfg: GndConfig,

@@ -309,6 +309,31 @@ def test_value_of_a_point_is_a_scalar_and_of_a_batch_an_array(objective):
         assert objective.gradient(batch).shape == (m, objective.dim)
 
 
+# Each factory: j1(112, 2) with stacks across its 292-row tile, rastrigin with
+# no factor of 1.0 to skip, and j2, whose rows at 0.0 take their own branch.
+_STACK_CASES = {
+    "j1": (make_j1(112, 2), 700),
+    "quadratic": (make_quadratic(2.5, 3, x_star=[1.0, -2.0, 0.5]), 40),
+    "j2": (make_j2(0.1, 1.0), 40),
+    "rastrigin-2": (make_rastrigin(3.0, 2.0, 0.05, 2), 40),
+    "rastrigin-10": (make_rastrigin(3.0, 2.0, 0.05, 10), 40),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_STACK_CASES)), data=st.data())
+def test_value_of_a_row_does_not_depend_on_its_batch(name, data):
+    # The solver evaluates f(x_t) and f(x_{t+1/2}) in one call on stacked rows.
+    objective, most = _STACK_CASES[name]
+    top, bottom = data.draw(st.integers(1, most)), data.draw(st.integers(1, most))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-40.0, 40.0, size=(top + bottom, objective.dim))
+    x[rng.random(top + bottom) < 0.2] = 0.0
+    stacked = objective.value(x)
+    apart = np.concatenate((objective.value(x[:top]), objective.value(x[top:])))
+    assert np.array_equal(stacked.view(np.int64), apart.view(np.int64))
+
+
 def _suite():
     return [
         (make_quadratic(1.0, 2), 10.0),

@@ -214,7 +214,8 @@ class TestWorkPerRow:
     iterations, 2T+1 value rows (f(x_0), then f(x_{t+1/2}) and f(x_{t+1})), T
     gradient rows and T*cols normals: d columns for the gradient noise when
     r > 0 and d for the injected noise when s > 0.  The formula is written out
-    here too, so the test does not read the code it checks.
+    here too, so the test does not read the code it checks.  The value rows of
+    a row block come in T+1 calls per stage: [x_t; x_{t+1/2}] for t < T, then x_T.
     """
 
     GND = GndConfig(eta=0.05, s=2.0, f_lb=0.0, T=7)
@@ -223,8 +224,9 @@ class TestWorkPerRow:
 
     @staticmethod
     def _counted(monkeypatch, objective):
-        """``objective`` with its rows counted, and the counts, which also take the draws."""
-        counts = dict.fromkeys(["value", "gradient", "normals", "uniforms", "streams"], 0)
+        """``objective`` with its rows and value calls counted, and the counts, draws included."""
+        counts = dict.fromkeys(["value", "gradient", "normals", "uniforms", "streams",
+                                "value calls"], 0)
 
         def counting(name, fn, amount):
             def counted(*args, **kwargs):
@@ -234,7 +236,8 @@ class TestWorkPerRow:
 
         rows = lambda x: len(x) if np.ndim(x) == 2 else 1
         draws = lambda rng, shape: int(np.prod(shape))
-        obj = dataclasses.replace(objective, value=counting("value", objective.value, rows),
+        value = counting("value calls", counting("value", objective.value, rows), lambda _: 1)
+        obj = dataclasses.replace(objective, value=value,
                                   gradient=counting("gradient", objective.gradient, rows))
         monkeypatch.setattr(RngStream, "normals", counting("normals", RngStream.normals, draws))
         monkeypatch.setattr(RngStream, "uniforms",
@@ -258,6 +261,8 @@ class TestWorkPerRow:
         stages = ((algorithm.T,) if isinstance(algorithm, GndConfig)
                   else (algorithm.T1,) + (algorithm.T2,) * algorithm.N)
         cols = d * ((r > 0) + (algorithm.s > 0))
+        blocks = 1 if trials is None else -(-trials // experiments._CHUNK)
+        assert counts.pop("value calls") == blocks * sum(T + 1 for T in stages)
         assert counts == {"value": m * sum(2 * T + 1 for T in stages),
                           "gradient": m * sum(stages), "normals": m * sum(stages) * cols,
                           "uniforms": m * d, "streams": m}
@@ -277,6 +282,8 @@ class TestWorkPerRow:
         q = make_quadratic(1.0, d)
         obj, counts = self._counted(monkeypatch, q)
         check(obj, M, m)
+        # per pass: two row blocks of M+2 value calls each
+        assert counts.pop("value calls") == passes * 2 * (M + 2)
         # per pass: m(2(M+1)+1) value rows, m(M+1) gradient rows, m(M+1)*2d normals
         one_pass = {"value": 138, "gradient": 66, "normals": 396, "uniforms": 0, "streams": 6}
         assert counts == {key: passes * n for key, n in one_pass.items()}
@@ -301,20 +308,23 @@ class TestWorkPerRow:
             zip(["value", "gradient", "normals", "uniforms", "streams"], want))
 
 
-def _poisoned(objective, kind, call, bad):
-    """``objective`` whose ``kind`` call number ``call`` (0-based) returns ``bad`` in rows 3 and up.
+def _poisoned(objective, kind, call, bad, m=5):
+    """``objective`` whose ``kind`` evaluation ``call`` (0-based) returns ``bad`` in rows 3 and up.
 
-    Value calls come in the kernel's order: f(x_0), then per iteration t the
-    half-step value f(x_{t+1/2}) and f(x_{t+1}); gradient call t is grad f(x_t).
+    Evaluations are counted in groups of m rows, one group per point of the
+    batch's m trajectories, however the kernel stacks the groups into calls.
+    Value groups come in the kernel's order: f(x_0), then per iteration t the
+    half-step value f(x_{t+1/2}) and f(x_{t+1}); gradient group t is grad f(x_t).
     """
-    calls = [0]
+    groups = [0]
     clean = getattr(objective, kind)
 
     def fn(x):
         out = np.array(clean(x), dtype=np.float64)
-        if calls[0] == call:
-            out[3:] = bad
-        calls[0] += 1
+        for start in range(0, len(out), m):
+            if groups[0] == call:
+                out[start + 3:start + m] = bad
+            groups[0] += 1
         return out
 
     return dataclasses.replace(objective, **{kind: fn})
@@ -342,6 +352,24 @@ class TestDivergenceGuard:
             _run_batch(q, 0.3, x0s, cfg, rngs, fold, trial_base=40)
         assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, iteration, quantity)
         assert str(err.value) == f"trajectory diverged at trial 43, iteration {iteration} ({quantity})"
+
+    # Poisoned at one iteration, f(x_t) is reported before grad f(x_t), and
+    # grad f(x_t) before f(x_{t+1/2}), which is formed from it.
+    @pytest.mark.parametrize("value_group, bad_gradient, quantity", [
+        (8, [np.nan, 0.0], "value"),  # f(x_4)
+        (8, [1.0, 1e200], "value"),
+        (9, [1.0, 1e200], "gradient"),  # f(x_{4+1/2})
+    ])
+    def test_value_gradient_and_half_step_value_are_reported_in_order(
+            self, value_group, bad_gradient, quantity):
+        q = _poisoned(_poisoned(make_quadratic(1.0, 2), "value", value_group, np.nan),
+                      "gradient", 4, bad_gradient)
+        cfg = GndConfig(eta=0.1, s=0.5, f_lb=0.0, T=10)
+        rngs = [RngStream(0, i) for i in range(5)]
+        fold = _Fold(q.minimizer, 1e-6, cfg.T + 1)
+        with pytest.raises(DivergedError) as err:
+            _run_batch(q, 0.3, np.full((5, 2), 2.0), cfg, rngs, fold, trial_base=40)
+        assert (err.value.trial, err.value.iteration, err.value.quantity) == (43, 4, quantity)
 
     # Each block fails the one-dot-product screen (or is too large for it), and the
     # exact row scan passes it.
